@@ -20,6 +20,9 @@
 #                                # 500 iterations across all engines x
 #                                # planner strategies + corpus replay +
 #                                # the broken-engine tooth check
+#   ci/run_checks.sh perf-smoke  # the end-to-end benchmark's answer gate:
+#                                # 2 s of each perfbench workload, every
+#                                # answer correct, no failed operation
 #
 # Build trees live under build-ci/ so they never collide with a local
 # build/ directory.
@@ -278,6 +281,28 @@ run_fuzz_smoke() {
       build-ci/sanitize/tests/fuzz_differential_test
 }
 
+run_perf_smoke() {
+  step "End-to-end benchmark answer gate (perfbench, 2 s per workload)"
+  # perfbench/run.py builds the benchmark from this checkout and exits 0
+  # only when every answer was correct; update_wal also scrubs the
+  # WAL-updated store with VerifyStoreDir.  The last line of standard
+  # output is the workload's JSON result.
+  local workload result
+  for workload in table2_paged table2_bp update_wal; do
+    result=$(python3 perfbench/run.py --workload "$workload" --seconds 2 |
+             tail -n 1)
+    python3 - "$workload" "$result" <<'EOF'
+import json, sys
+
+workload, line = sys.argv[1], sys.argv[2]
+result = json.loads(line)
+assert result.get("correct") is True, f"{workload}: not correct: {line}"
+assert result.get("failed") == 0, f"{workload}: failed operations: {line}"
+print(f"{workload}: correct, 0 failed of {result.get('attempted')}")
+EOF
+  done
+}
+
 case "${1:-all}" in
   lint)           run_lint ;;
   release)        run_release ;;
@@ -288,6 +313,7 @@ case "${1:-all}" in
   thread-safety)  run_thread_safety ;;
   bench-smoke)    run_bench_smoke ;;
   fuzz-smoke)     run_fuzz_smoke ;;
+  perf-smoke)     run_perf_smoke ;;
   all)
     run_lint
     run_release
@@ -298,12 +324,13 @@ case "${1:-all}" in
     run_thread_safety
     run_bench_smoke
     run_fuzz_smoke
+    run_perf_smoke
     step "all checks passed"
     ;;
   *)
     echo "unknown check: $1" \
          "(expected lint|release|sanitize|tsan|crash-recovery|werror|" \
-         "thread-safety|bench-smoke|fuzz-smoke|all)" >&2
+         "thread-safety|bench-smoke|fuzz-smoke|perf-smoke|all)" >&2
     exit 2
     ;;
 esac

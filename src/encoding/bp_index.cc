@@ -6,16 +6,11 @@
 #include <utility>
 
 #include "common/coding.h"
-#include "common/hash.h"
-#include "common/slice.h"
+#include "encoding/sidecar.h"
 #include "encoding/string_store.h"
 
 namespace nok {
 namespace {
-
-constexpr uint64_t kBpMagic = 0x4e4f4b4250494458ull;  // "NOKBPIDX"
-constexpr uint32_t kBpFormatVersion = 1;
-constexpr size_t kBpHeaderSize = 32;
 
 // SWAR lane constants for 4x16-bit equality probing (the classic
 // zero-halfword detector: (x - kLaneLow) & ~x & kLaneHigh).
@@ -224,7 +219,9 @@ std::optional<uint64_t> BpIndex::Enclose(uint64_t pos) const {
   const uint32_t nb = WordBits(bw);
   for (uint32_t i = 0; i < nb; ++i) {
     e2 += ((word >> i) & 1u) ? 1 : -1;
-    if (e2 == target) best = static_cast<int64_t>((static_cast<uint64_t>(bw) << 6) + i);
+    if (e2 == target) {
+      best = static_cast<int64_t>((static_cast<uint64_t>(bw) << 6) + i);
+    }
   }
   if (best < 0) return std::nullopt;  // Unreachable: bw's min covers target.
   return static_cast<uint64_t>(best) + 1;
@@ -297,81 +294,32 @@ std::string BpIndex::Serialize() const {
   payload.reserve(bits_.size() * 8 + tags_.size() * 2);
   for (const uint64_t word : bits_) PutFixed64(&payload, word);
   for (const TagId tag : tags_) PutFixed16(&payload, tag);
-  // The CRC covers the epoch and node-count header fields too: a flipped
-  // epoch byte would otherwise deserialize cleanly and masquerade as a
-  // (stale or, worse, current) generation stamp.
-  std::string stamped;
-  PutFixed64(&stamped, epoch_);
-  PutFixed64(&stamped, node_count_);
-  uint32_t crc = Crc32c(Slice(stamped));
-  crc = Crc32cExtend(crc, payload.data(), payload.size());
-  std::string out;
-  out.reserve(kBpHeaderSize + payload.size());
-  PutFixed64(&out, kBpMagic);
-  PutFixed32(&out, kBpFormatVersion);
-  out += stamped;
-  PutFixed32(&out, crc);
-  out += payload;
-  return out;
+  return SealSidecar(SidecarKind::kBpIndex, {epoch_, node_count_}, payload);
 }
 
 Result<std::unique_ptr<BpIndex>> BpIndex::Deserialize(std::string_view bytes) {
-  if (bytes.size() < kBpHeaderSize) {
-    return Status::Corruption("bp sidecar: truncated header");
-  }
-  const char* p = bytes.data();
-  if (DecodeFixed64(p) != kBpMagic) {
-    return Status::Corruption("bp sidecar: bad magic");
-  }
-  const uint32_t version = DecodeFixed32(p + 8);
-  if (version != kBpFormatVersion) {
-    return Status::Corruption("bp sidecar: unsupported format version " +
-                              std::to_string(version));
-  }
+  SidecarStamp stamp;
+  NOK_ASSIGN_OR_RETURN(SidecarReader in,
+                       OpenSidecar(SidecarKind::kBpIndex, bytes, &stamp));
+  // ceil(2n / 64) words, written so that 2n cannot overflow.
+  const uint64_t nwords = stamp.node_count / 32 + (stamp.node_count % 32 != 0);
+  NOK_ASSIGN_OR_RETURN(const char* words, in.Take(nwords, 8));
+  NOK_ASSIGN_OR_RETURN(const char* tags, in.Take(stamp.node_count, 2));
+  NOK_RETURN_IF_ERROR(in.Finish());
   auto index = std::unique_ptr<BpIndex>(new BpIndex());
-  index->epoch_ = DecodeFixed64(p + 12);
-  index->node_count_ = DecodeFixed64(p + 20);
-  const uint32_t crc = DecodeFixed32(p + 28);
-  index->n_bits_ = 2 * index->node_count_;
-  const size_t nwords = static_cast<size_t>((index->n_bits_ + 63) / 64);
-  const size_t payload_size =
-      nwords * 8 + static_cast<size_t>(index->node_count_) * 2;
-  if (bytes.size() != kBpHeaderSize + payload_size) {
-    return Status::Corruption("bp sidecar: payload size mismatch");
+  index->epoch_ = stamp.epoch;
+  index->node_count_ = stamp.node_count;
+  index->n_bits_ = 2 * stamp.node_count;
+  index->bits_.resize(static_cast<size_t>(nwords));
+  for (size_t i = 0; i < index->bits_.size(); ++i) {
+    index->bits_[i] = DecodeFixed64(words + 8 * i);
   }
-  const char* payload = p + kBpHeaderSize;
-  uint32_t want_crc = Crc32c(Slice(p + 12, 16));  // epoch + node count.
-  want_crc = Crc32cExtend(want_crc, payload, payload_size);
-  if (want_crc != crc) {
-    return Status::Corruption("bp sidecar: payload checksum mismatch");
-  }
-  index->bits_.resize(nwords);
-  for (size_t i = 0; i < nwords; ++i) {
-    index->bits_[i] = DecodeFixed64(payload + 8 * i);
-  }
-  index->tags_.resize(static_cast<size_t>(index->node_count_));
-  const char* tag_bytes = payload + nwords * 8;
+  index->tags_.resize(static_cast<size_t>(stamp.node_count));
   for (size_t i = 0; i < index->tags_.size(); ++i) {
-    index->tags_[i] = DecodeFixed16(tag_bytes + 2 * i);
+    index->tags_[i] = DecodeFixed16(tags + 2 * i);
   }
   NOK_RETURN_IF_ERROR(index->BuildSupport());
   return index;
-}
-
-Status BpIndex::SaveTo(File* file) const {
-  const std::string bytes = Serialize();
-  NOK_RETURN_IF_ERROR(file->Truncate(0));
-  NOK_RETURN_IF_ERROR(file->WriteAt(0, Slice(bytes)));
-  return file->Sync();
-}
-
-Result<std::unique_ptr<BpIndex>> BpIndex::LoadFrom(File* file) {
-  const uint64_t size = file->Size();
-  std::string bytes(static_cast<size_t>(size), '\0');
-  Slice out;
-  NOK_RETURN_IF_ERROR(
-      file->ReadAt(0, static_cast<size_t>(size), bytes.data(), &out));
-  return Deserialize(out.ToStringView());
 }
 
 uint64_t BpIndex::MemoryBytes() const {

@@ -29,19 +29,11 @@
 // is const and touches no shared mutable state, so any number of threads
 // may navigate one instance concurrently.  Versioning against the store
 // is the owner's job: DocumentStore keys the in-memory instance to
-// structure_version() and the persisted sidecar to epoch() (see
-// DESIGN.md section 14).
+// structure_version() and the persisted tree.bpx sidecar to epoch().
 //
-// Sidecar format (*.bpx), all integers little-endian fixed-width:
-//
-//   +0   magic "NOKBPIDX"           (8 bytes)
-//   +8   format version, currently 1 (4 bytes)
-//   +12  epoch the index was built against (8 bytes)
-//   +20  node count n                (8 bytes)
-//   +28  CRC-32C of bytes [12, 28) + the payload (4 bytes), so a flipped
-//        epoch or node-count byte is detected, not just payload damage
-//   +32  payload: ceil(2n/64) bit words (8 bytes each, LSB-first bits),
-//        then n TagIds (2 bytes each, preorder)
+// Sidecar: the shared envelope of DESIGN.md section 6 ("Sidecars", magic
+// "NOKBPIDX") around a payload of ceil(2n/64) bit words (8 bytes each,
+// LSB-first bits), then n TagIds (2 bytes each, preorder).
 
 #ifndef NOKXML_ENCODING_BP_INDEX_H_
 #define NOKXML_ENCODING_BP_INDEX_H_
@@ -58,7 +50,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "encoding/tag_dictionary.h"
-#include "storage/file.h"
 
 namespace nok {
 
@@ -88,19 +79,12 @@ class BpIndex {
                                                      std::vector<TagId> tags,
                                                      uint64_t epoch);
 
-  /// Serializes to the checksummed sidecar byte format described above.
+  /// Serializes to the checksummed sidecar byte format (sidecar.h).
   std::string Serialize() const;
 
-  /// Parses and validates a serialized sidecar (magic, version, shape,
-  /// CRC-32C) and rebuilds the in-memory support structures.
+  /// Parses and validates a serialized sidecar (envelope, payload shape,
+  /// balance) and rebuilds the in-memory support structures.
   static Result<std::unique_ptr<BpIndex>> Deserialize(std::string_view bytes);
-
-  /// Writes the serialized form at offset 0 of `file`, truncating any
-  /// previous content, and syncs.
-  Status SaveTo(File* file) const;
-
-  /// Reads and Deserializes a whole sidecar file.
-  static Result<std::unique_ptr<BpIndex>> LoadFrom(File* file);
 
   // -------------------------------------------------------------------
   // Shape.

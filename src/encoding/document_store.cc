@@ -3,6 +3,7 @@
 #include "common/coding.h"
 #include "common/hash.h"
 #include "common/logging.h"
+#include "encoding/sidecar.h"
 #include "xml/escape.h"
 #include "xml/sax_parser.h"
 
@@ -77,8 +78,6 @@ constexpr const char* kValIdxFile = store_files::kValIdx;
 constexpr const char* kIdIdxFile = store_files::kIdIdx;
 constexpr const char* kPathIdxFile = store_files::kPathIdx;
 constexpr const char* kStaleFile = store_files::kStale;
-constexpr const char* kBpFile = store_files::kBpIndex;
-constexpr const char* kSynopsisFile = store_files::kSynopsis;
 
 }  // namespace
 
@@ -288,13 +287,7 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   // crash before Finish leaves a tree file without a valid meta page, so
   // OpenDir reports the half-built store instead of opening it.
   store->epoch_ = 1;
-  NOK_RETURN_IF_ERROR(store->values_->Sync());
-  for (BTree* index : {store->tag_index_.get(), store->value_index_.get(),
-                       store->id_index_.get(), store->path_index_.get()}) {
-    index->set_epoch(store->epoch_);
-    NOK_RETURN_IF_ERROR(index->Flush());
-  }
-  NOK_RETURN_IF_ERROR(store->SaveDictionary());
+  NOK_RETURN_IF_ERROR(store->CommitComponents());
   NOK_ASSIGN_OR_RETURN(store->tree_, builder.Finish(store->epoch_));
 
   store->stats_.xml_bytes = xml.size();
@@ -306,18 +299,16 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
                             static_cast<double>(leaf_count);
   store->stats_.distinct_tags = store->tags_.size();
   store->RefreshSizeStats();
-  if (store->options_.nav_mode == NavMode::kBp) {
-    // Materialize the BP tier eagerly so the first query pays nothing,
-    // and persist the sidecar next to the freshly committed generation.
-    NOK_RETURN_IF_ERROR(store->EnsureBpIndex());
-    NOK_RETURN_IF_ERROR(store->PersistBpSidecar());
-  }
   if (store->options_.use_synopsis) {
-    NOK_ASSIGN_OR_RETURN(store->synopsis_,
+    NOK_ASSIGN_OR_RETURN(auto synopsis,
                          synopsis_builder.Finish(store->epoch_));
-    store->synopsis_version_ = store->structure_version_;
-    NOK_RETURN_IF_ERROR(store->PersistSynopsisSidecar());
+    store->synopsis_.Adopt(std::move(synopsis), store->structure_version_,
+                           /*from_file=*/false);
   }
+  // Materialize the BP tier eagerly so the first query pays nothing, and
+  // persist the sidecars next to the freshly committed generation.
+  NOK_RETURN_IF_ERROR(
+      store->RefreshSidecars(store->options_.nav_mode == NavMode::kBp));
   return store;
 }
 
@@ -469,25 +460,14 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
   store->stats_.distinct_tags = store->tags_.size();
   store->positions_fresh_ = !FileExists(options.dir + "/" + kStaleFile);
   store->RefreshSizeStats();
-  if (options.nav_mode == NavMode::kBp) {
-    // Eager so that concurrent readers of a read-only handle never race
-    // an on-demand build; loads the sidecar when its epoch matches.
-    NOK_RETURN_IF_ERROR(store->EnsureBpIndex());
-    if (!store->bp_from_sidecar_) {
-      // Missing/stale/damaged sidecar was rebuilt from the page chain;
-      // re-persist for the next open (no-op for read-only/WAL handles).
-      NOK_RETURN_IF_ERROR(store->PersistBpSidecar());
-    }
-  }
-  if (options.use_synopsis) {
-    // Eager for the same reason as the BP index; when EnsureBpIndex just
-    // rebuilt from the page chain, the synopsis rode that scan and this
-    // is a no-op.  A missing/stale/damaged sidecar is silently replaced.
-    NOK_RETURN_IF_ERROR(store->EnsureSynopsis());
-    if (!store->synopsis_from_sidecar_) {
-      NOK_RETURN_IF_ERROR(store->PersistSynopsisSidecar());
-    }
-  }
+  // Sidecars are eager so that concurrent readers of a read-only handle
+  // never race an on-demand build.  Adopt every persisted file that
+  // matches the opened generation; a missing, stale or damaged one is
+  // rebuilt from the page chain and re-persisted for the next open.
+  const bool with_bp = options.nav_mode == NavMode::kBp;
+  if (with_bp) store->TryLoadSidecar(&store->bp_);
+  if (options.use_synopsis) store->TryLoadSidecar(&store->synopsis_);
+  NOK_RETURN_IF_ERROR(store->RefreshSidecars(with_bp));
   return store;
 }
 
@@ -566,67 +546,39 @@ Status DocumentStore::Flush() {
       // transaction later (ROADMAP item 1 follow-up).
       NOK_RETURN_IF_ERROR(RefreshPositionsImpl());
     }
-    // Run the legacy flush sequence against the TxnFile wrappers: every
-    // page and meta write lands in the overlay (component Syncs are
-    // deferred), then Commit makes the batch durable with one WAL fsync
-    // before any base file is touched.
-    ++epoch_;
-    NOK_RETURN_IF_ERROR(values_->Sync());
-    for (BTree* index :
-         {tag_index_.get(), value_index_.get(), id_index_.get(),
-          path_index_.get()}) {
-      index->set_epoch(epoch_);
-      NOK_RETURN_IF_ERROR(index->Flush());
-    }
-    NOK_RETURN_IF_ERROR(SaveDictionary());
-    tree_->set_epoch(epoch_);
-    NOK_RETURN_IF_ERROR(tree_->Flush());
+  }
+  // One new generation: values, indexes and dictionary, then the tree
+  // string whose meta page — written last — commits it.  On a WAL handle
+  // every write lands in the transaction overlay (component Syncs are
+  // deferred), and Commit makes the batch durable with one WAL fsync
+  // before any base file is touched.
+  ++epoch_;
+  NOK_RETURN_IF_ERROR(CommitComponents());
+  tree_->set_epoch(epoch_);
+  NOK_RETURN_IF_ERROR(tree_->Flush());
+  if (wal_writer_ != nullptr) {
     Status commit = wal_writer_->Commit(epoch_);
     if (!commit.ok()) {
       wal_poisoned_ = true;
       return commit;
     }
     wal_ops_pending_ = 0;
-    if (options_.use_synopsis) {
-      // The structural updates of this batch dropped the in-memory
-      // synopsis; rebuild it against the committed generation so the
-      // planner keeps its cardinality estimates.  In-memory only — the
-      // sidecar write is not transaction-captured (PersistSynopsisSidecar
-      // no-ops on WAL handles).
-      NOK_RETURN_IF_ERROR(EnsureSynopsis());
-      synopsis_->set_epoch(epoch_);
-    }
-    return Status::OK();
   }
-  // One new generation.  Order: value file and indexes (data synced before
-  // each component's own meta), then the dictionary, then the tree string
-  // whose meta page — written last — commits the generation.
-  ++epoch_;
+  // Keep the sidecars in lockstep with the generation they describe.  A
+  // WAL writer rebuilds only the synopsis eagerly (the planner wants its
+  // estimates); its BP index is rebuilt on first use.
+  return RefreshSidecars(options_.nav_mode == NavMode::kBp &&
+                         wal_writer_ == nullptr);
+}
+
+Status DocumentStore::CommitComponents() {
   NOK_RETURN_IF_ERROR(values_->Sync());
-  for (BTree* index :
-       {tag_index_.get(), value_index_.get(), id_index_.get(),
-        path_index_.get()}) {
+  for (BTree* index : {tag_index_.get(), value_index_.get(), id_index_.get(),
+                       path_index_.get()}) {
     index->set_epoch(epoch_);
     NOK_RETURN_IF_ERROR(index->Flush());
   }
-  NOK_RETURN_IF_ERROR(SaveDictionary());
-  tree_->set_epoch(epoch_);
-  NOK_RETURN_IF_ERROR(tree_->Flush());
-  if (options_.nav_mode == NavMode::kBp) {
-    // Keep the sidecar in lockstep with the generation it describes: a
-    // structural update dropped the in-memory index, so rebuild from the
-    // just-flushed pages, stamp the new epoch, persist.
-    NOK_RETURN_IF_ERROR(EnsureBpIndex());
-    bp_index_->set_epoch(epoch_);
-    NOK_RETURN_IF_ERROR(PersistBpSidecar());
-  }
-  if (options_.use_synopsis) {
-    // Same lockstep for the synopsis sidecar.
-    NOK_RETURN_IF_ERROR(EnsureSynopsis());
-    synopsis_->set_epoch(epoch_);
-    NOK_RETURN_IF_ERROR(PersistSynopsisSidecar());
-  }
-  return Status::OK();
+  return SaveDictionary();
 }
 
 Status DocumentStore::DropCaches() {
@@ -786,16 +738,13 @@ Status DocumentStore::MarkPositionsStale() {
   }
   positions_fresh_ = false;
   ++structure_version_;
-  // The topology changed: the BP bitvector is invalid from here on.  It
-  // is rebuilt lazily on the next bp_index() call (or at Flush).
-  bp_index_.reset();
-  bp_from_sidecar_ = false;
-  // The synopsis too — an inserted subtree can create rooted paths the
-  // old trie never saw, and pruning on those would wrongly prove queries
-  // empty.  The planner falls back to flat tag counts until Flush
-  // rebuilds it.
-  synopsis_.reset();
-  synopsis_from_sidecar_ = false;
+  // The topology changed: the BP bitvector is invalid from here on (it
+  // is rebuilt on the next bp_index() call or at Flush), and so is the
+  // synopsis — an inserted subtree can create rooted paths the old trie
+  // never saw, and pruning on those would wrongly prove queries empty.
+  // The planner falls back to flat tag counts until Flush rebuilds it.
+  bp_.Drop();
+  synopsis_.Drop();
   if (!options_.dir.empty()) {
     if (wal_writer_ != nullptr && wal_writer_->in_transaction()) {
       wal_writer_->StageReplace(kStaleFile, "1");
@@ -808,44 +757,15 @@ Status DocumentStore::MarkPositionsStale() {
 
 Result<const BpIndex*> DocumentStore::bp_index() {
   NOK_RETURN_IF_ERROR(EnsureBpIndex());
-  return bp_index_.get();
+  return bp_.value.get();
 }
 
 Status DocumentStore::EnsureBpIndex() {
-  if (bp_index_ != nullptr && bp_version_ == structure_version_) {
-    return Status::OK();
-  }
-  bp_index_.reset();
-  bp_from_sidecar_ = false;
-  // Prefer the persisted sidecar.  It only counts as current before any
-  // in-process structural update (structure_version_ is in-memory and
-  // resets on open) and when its stamped epoch matches the generation
-  // the components were opened at.
-  if (!options_.dir.empty() && structure_version_ == 0 &&
-      FileExists(options_.dir + "/" + kBpFile)) {
-    auto file = OpenComponent(kBpFile, /*create=*/false);
-    if (file.ok()) {
-      auto loaded = BpIndex::LoadFrom(file.ValueOrDie().get());
-      if (loaded.ok() && loaded.ValueOrDie()->epoch() == epoch_ &&
-          loaded.ValueOrDie()->node_count() == tree_->node_count()) {
-        bp_index_ = std::move(loaded).ValueOrDie();
-        bp_version_ = structure_version_;
-        bp_from_sidecar_ = true;
-        return Status::OK();
-      }
-      // Stale or damaged sidecar (the CRC rejects torn writes): fall
-      // through to a rebuild; `nokq verify` reports the details.
-    }
-  }
-  // Rebuild from the page chain.  When the synopsis is also out of date
-  // and its own sidecar cannot supply it, its trie rides the same
-  // VisitSymbols scan via the build observer — one pass, two indexes.
+  if (bp_.current(structure_version_)) return Status::OK();
   PathSynopsis::Builder synopsis_builder;
   std::function<void(bool, TagId)> observer;
   const bool feed_synopsis =
-      options_.use_synopsis &&
-      (synopsis_ == nullptr || synopsis_version_ != structure_version_) &&
-      !TrySynopsisSidecar();
+      options_.use_synopsis && !synopsis_.current(structure_version_);
   if (feed_synopsis) {
     observer = [&synopsis_builder](bool is_open, TagId tag) {
       if (is_open) {
@@ -855,71 +775,66 @@ Status DocumentStore::EnsureBpIndex() {
       }
     };
   }
-  NOK_ASSIGN_OR_RETURN(bp_index_,
-                       BpIndex::Build(tree_.get(), epoch_, observer));
-  bp_version_ = structure_version_;
+  NOK_ASSIGN_OR_RETURN(auto bp, BpIndex::Build(tree_.get(), epoch_, observer));
+  bp_.Adopt(std::move(bp), structure_version_, /*from_file=*/false);
   if (feed_synopsis) {
-    NOK_ASSIGN_OR_RETURN(synopsis_, synopsis_builder.Finish(epoch_));
-    synopsis_version_ = structure_version_;
-    synopsis_from_sidecar_ = false;
+    NOK_ASSIGN_OR_RETURN(auto synopsis, synopsis_builder.Finish(epoch_));
+    synopsis_.Adopt(std::move(synopsis), structure_version_,
+                    /*from_file=*/false);
   }
   return Status::OK();
-}
-
-bool DocumentStore::TrySynopsisSidecar() {
-  if (options_.dir.empty() || structure_version_ != 0 ||
-      !FileExists(options_.dir + "/" + kSynopsisFile)) {
-    return false;
-  }
-  auto file = OpenComponent(kSynopsisFile, /*create=*/false);
-  if (!file.ok()) return false;
-  auto loaded = PathSynopsis::LoadFrom(file.ValueOrDie().get());
-  if (loaded.ok() && loaded.ValueOrDie()->epoch() == epoch_ &&
-      loaded.ValueOrDie()->node_count() == tree_->node_count()) {
-    synopsis_ = std::move(loaded).ValueOrDie();
-    synopsis_version_ = structure_version_;
-    synopsis_from_sidecar_ = true;
-    return true;
-  }
-  // Stale or damaged sidecar (the CRC rejects torn writes): the caller
-  // rebuilds from the page chain; `nokq verify` pass 6 reports details.
-  return false;
 }
 
 Status DocumentStore::EnsureSynopsis() {
-  if (!options_.use_synopsis) return Status::OK();
-  if (synopsis_ != nullptr && synopsis_version_ == structure_version_) {
+  if (!options_.use_synopsis || synopsis_.current(structure_version_)) {
     return Status::OK();
   }
-  synopsis_.reset();
-  synopsis_from_sidecar_ = false;
-  if (TrySynopsisSidecar()) return Status::OK();
-  NOK_ASSIGN_OR_RETURN(synopsis_, PathSynopsis::Build(tree_.get(), epoch_));
-  synopsis_version_ = structure_version_;
+  NOK_ASSIGN_OR_RETURN(auto synopsis,
+                       PathSynopsis::Build(tree_.get(), epoch_));
+  synopsis_.Adopt(std::move(synopsis), structure_version_,
+                  /*from_file=*/false);
   return Status::OK();
 }
 
-Status DocumentStore::PersistSynopsisSidecar() {
-  if (options_.dir.empty() || options_.read_only ||
-      wal_writer_ != nullptr || synopsis_ == nullptr) {
-    // WAL handles keep the synopsis in-memory only: the sidecar write is
-    // not transaction-captured, so it must not join a WAL commit.
-    return Status::OK();
-  }
-  NOK_ASSIGN_OR_RETURN(auto file,
-                       OpenComponent(kSynopsisFile, /*create=*/true));
-  return synopsis_->SaveTo(file.get());
+Status DocumentStore::RefreshSidecars(bool with_bp) {
+  if (with_bp) NOK_RETURN_IF_ERROR(EnsureBpIndex());
+  NOK_RETURN_IF_ERROR(EnsureSynopsis());
+  if (with_bp) NOK_RETURN_IF_ERROR(PersistSidecar(&bp_));
+  return PersistSidecar(&synopsis_);
 }
 
-Status DocumentStore::PersistBpSidecar() {
-  if (options_.dir.empty() || options_.read_only ||
-      wal_writer_ != nullptr || bp_index_ == nullptr) {
-    // WAL handles keep the BP tier in-memory only: the sidecar write is
-    // not transaction-captured, so it must not join a WAL commit.
+template <typename T>
+void DocumentStore::TryLoadSidecar(SidecarSlot<T>* slot) {
+  if (options_.dir.empty() ||
+      !FileExists(options_.dir + "/" + slot->file)) {
+    return;
+  }
+  auto file = OpenComponent(slot->file, /*create=*/false);
+  if (!file.ok()) return;
+  auto loaded = LoadSidecar<T>(file.ValueOrDie().get());
+  // A damaged file (the CRC rejects torn writes) or a stale one is
+  // rebuilt from the page chain; `nokq verify` reports damage.
+  if (!loaded.ok() || loaded.ValueOrDie()->epoch() != epoch_ ||
+      loaded.ValueOrDie()->node_count() != tree_->node_count()) {
+    return;
+  }
+  slot->Adopt(std::move(loaded).ValueOrDie(), structure_version_,
+              /*from_file=*/true);
+}
+
+template <typename T>
+Status DocumentStore::PersistSidecar(SidecarSlot<T>* slot) {
+  // Nothing built, or the file already holds this generation.
+  if (slot->value == nullptr ||
+      (slot->from_sidecar && slot->value->epoch() == epoch_)) {
     return Status::OK();
   }
-  NOK_ASSIGN_OR_RETURN(auto file, OpenComponent(kBpFile, /*create=*/true));
-  return bp_index_->SaveTo(file.get());
+  slot->value->set_epoch(epoch_);
+  if (options_.dir.empty() || options_.read_only || wal_writer_ != nullptr) {
+    return Status::OK();
+  }
+  NOK_ASSIGN_OR_RETURN(auto file, OpenComponent(slot->file, /*create=*/true));
+  return SaveSidecar(*slot->value, file.get());
 }
 
 Result<size_t> DocumentStore::EstimateValueCount(const Slice& value,

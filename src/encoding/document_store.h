@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "btree/btree.h"
@@ -204,18 +205,20 @@ class DocumentStore {
 
   /// Whether the current in-memory BP index came from a matching
   /// tree.bpx sidecar (vs a rebuild scan of the page chain).
-  bool bp_loaded_from_sidecar() const { return bp_from_sidecar_; }
+  bool bp_loaded_from_sidecar() const { return bp_.from_sidecar; }
 
   /// The path synopsis for the current structure (path_synopsis.h), or
   /// null when Options::use_synopsis is off.  Materialized eagerly by
   /// Build/OpenDir and kept current across updates via
   /// structure_version(), so read-only concurrent readers only ever see
   /// the already-built immutable instance.
-  const PathSynopsis* path_synopsis() const { return synopsis_.get(); }
+  const PathSynopsis* path_synopsis() const { return synopsis_.value.get(); }
 
   /// Whether the current in-memory synopsis came from a matching
   /// synopsis.pds sidecar (vs a rebuild scan).
-  bool synopsis_loaded_from_sidecar() const { return synopsis_from_sidecar_; }
+  bool synopsis_loaded_from_sidecar() const {
+    return synopsis_.from_sidecar;
+  }
 
   // -- navigation helpers ----------------------------------------------
   /// Physical position of the node with the given Dewey ID: a B+i lookup
@@ -365,33 +368,68 @@ class DocumentStore {
   friend class TreeUpdater;
 
   /// Marks stored positions stale (persisted); called by the updaters.
-  /// Also drops the in-memory BP index: the topology changed, so the
-  /// bitvector is rebuilt lazily (or at the next Flush).
+  /// Also drops the in-memory BP index and synopsis: the topology
+  /// changed, so both are rebuilt lazily (or at the next Flush).
   Status MarkPositionsStale();
 
-  /// Makes bp_index_ match the current structure: loads the sidecar when
-  /// its epoch and shape agree, else rebuilds by one sequential scan.
-  /// When the synopsis is also missing, its trie is accumulated from the
+  /// One derived structure kept beside the store (DESIGN.md section 6,
+  /// "Sidecars"): the in-memory copy, the structure_version() it
+  /// describes, and whether it was adopted from its persisted file.
+  template <typename T>
+  struct SidecarSlot {
+    explicit SidecarSlot(const char* file_name) : file(file_name) {}
+
+    const char* file;  ///< Component file name (store_files).
+    std::unique_ptr<T> value;
+    uint64_t version = 0;
+    bool from_sidecar = false;
+
+    bool current(uint64_t structure_version) const {
+      return value != nullptr && version == structure_version;
+    }
+    void Adopt(std::unique_ptr<T> built, uint64_t structure_version,
+               bool from_file) {
+      value = std::move(built);
+      version = structure_version;
+      from_sidecar = from_file;
+    }
+    void Drop() {
+      value.reset();
+      from_sidecar = false;
+    }
+  };
+
+  /// Values, the four indexes and the dictionary at epoch_, in that
+  /// order.  The caller then writes the tree string's meta page, the
+  /// store-level commit record.
+  Status CommitComponents();
+
+  /// Brings the sidecars this handle keeps eagerly (the BP index when
+  /// `with_bp`, the synopsis when enabled) up to the current structure,
+  /// then stamps and persists each one whose file does not already hold
+  /// epoch_.
+  Status RefreshSidecars(bool with_bp);
+
+  /// Adopts the slot's persisted file when it parses and its epoch and
+  /// node count match the opened generation; anything else (missing,
+  /// damaged, stale) leaves the slot empty for a rebuild.
+  template <typename T>
+  void TryLoadSidecar(SidecarSlot<T>* slot);
+
+  /// Stamps the slot's value with epoch_ and writes its file —
+  /// dir-backed, writable, non-WAL handles only: a WAL commit must carry
+  /// no sidecar bytes, so WAL handles keep sidecars in memory.
+  template <typename T>
+  Status PersistSidecar(SidecarSlot<T>* slot);
+
+  /// Makes the BP index match the current structure by one sequential
+  /// scan.  When the synopsis is out of date too, its trie rides the
   /// same scan (the BpIndex::Build observer) — one pass builds both.
   Status EnsureBpIndex();
 
-  /// Writes the tree.bpx sidecar (dir-backed, non-WAL stores only; the
-  /// CRC-32C payload checksum makes a torn write detectable).
-  Status PersistBpSidecar();
-
-  /// Makes synopsis_ match the current structure: loads the synopsis.pds
-  /// sidecar when its epoch and shape agree, else rebuilds by one
-  /// sequential scan (unless EnsureBpIndex already piggy-backed the
-  /// build onto its own scan).  No-op when Options::use_synopsis is off.
+  /// Makes the synopsis match the current structure by one sequential
+  /// scan.  No-op when Options::use_synopsis is off.
   Status EnsureSynopsis();
-
-  /// Loads the synopsis.pds sidecar when it is usable (no in-process
-  /// structural updates, epoch and node count match); returns whether it
-  /// was adopted.
-  bool TrySynopsisSidecar();
-
-  /// Writes the synopsis.pds sidecar (same guards as PersistBpSidecar).
-  Status PersistSynopsisSidecar();
 
   Options options_;
   /// Declared before the components: members destroy in reverse order,
@@ -416,16 +454,10 @@ class DocumentStore {
   uint64_t epoch_ = 0;
   uint64_t structure_version_ = 0;
   bool positions_fresh_ = true;
-  /// Balanced-parentheses navigation tier (bp_index.h).  Immutable once
-  /// built; valid while bp_version_ == structure_version_.
-  std::unique_ptr<BpIndex> bp_index_;
-  uint64_t bp_version_ = 0;
-  bool bp_from_sidecar_ = false;
-  /// DataGuide-style path synopsis (path_synopsis.h).  Immutable once
-  /// built; valid while synopsis_version_ == structure_version_.
-  std::unique_ptr<PathSynopsis> synopsis_;
-  uint64_t synopsis_version_ = 0;
-  bool synopsis_from_sidecar_ = false;
+  /// Balanced-parentheses navigation tier (bp_index.h).
+  SidecarSlot<BpIndex> bp_{store_files::kBpIndex};
+  /// DataGuide-style path synopsis (path_synopsis.h).
+  SidecarSlot<PathSynopsis> synopsis_{store_files::kSynopsis};
 };
 
 /// Encoding helpers shared by the builder, the query engine and tests.

@@ -22,25 +22,18 @@
 // so any number of threads may query one instance concurrently.
 // Versioning against the store is the owner's job: DocumentStore keys
 // the in-memory instance to structure_version() and the persisted
-// sidecar to epoch(), exactly like the BP index (DESIGN.md section 15).
+// synopsis.pds sidecar to epoch(), exactly like the BP index.
 //
 // Storage is a preorder-flattened array with subtree spans: node i's
 // descendants are exactly the indexes in (i, subtree_end(i)), and its
 // children are found by hopping j -> subtree_end(j) — no child pointers
 // needed at query time.
 //
-// Sidecar format (*.pds), all integers little-endian fixed-width:
-//
-//   +0   magic "NOKPSYNP"            (8 bytes)
-//   +8   format version, currently 1 (4 bytes)
-//   +12  epoch the synopsis was built against (8 bytes)
-//   +20  document node count n        (8 bytes)
-//   +28  CRC-32C of bytes [12, 28) + the payload (4 bytes), so a flipped
-//        epoch or node-count byte is detected, not just payload damage
-//   +32  payload: path count (4 bytes), then one record per path node in
-//        preorder: TagId (2 bytes), count (8 bytes), parent index + 1
-//        (4 bytes, 0 for a top-level path).  Levels and subtree spans
-//        are recomputed on load and validated against the preorder.
+// Sidecar: the shared envelope of DESIGN.md section 6 ("Sidecars", magic
+// "NOKPSYNP") around a payload of the path count (4 bytes), then one
+// record per path node in preorder: TagId (2 bytes), count (8 bytes),
+// parent index + 1 (4 bytes, 0 for a top-level path).  Levels and subtree
+// spans are recomputed on load and validated against the preorder.
 
 #ifndef NOKXML_ENCODING_PATH_SYNOPSIS_H_
 #define NOKXML_ENCODING_PATH_SYNOPSIS_H_
@@ -54,7 +47,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "encoding/tag_dictionary.h"
-#include "storage/file.h"
 
 namespace nok {
 
@@ -115,20 +107,13 @@ class PathSynopsis {
   static Result<std::unique_ptr<PathSynopsis>> Build(StringStore* tree,
                                                      uint64_t epoch);
 
-  /// Serializes to the checksummed sidecar byte format described above.
+  /// Serializes to the checksummed sidecar byte format (sidecar.h).
   std::string Serialize() const;
 
-  /// Parses and validates a serialized sidecar (magic, version, shape,
-  /// CRC-32C, preorder consistency, count totals).
+  /// Parses and validates a serialized sidecar (envelope, record shape,
+  /// preorder consistency, count totals).
   static Result<std::unique_ptr<PathSynopsis>> Deserialize(
       std::string_view bytes);
-
-  /// Writes the serialized form at offset 0 of `file`, truncating any
-  /// previous content, and syncs.
-  Status SaveTo(File* file) const;
-
-  /// Reads and Deserializes a whole sidecar file.
-  static Result<std::unique_ptr<PathSynopsis>> LoadFrom(File* file);
 
   // -------------------------------------------------------------------
   // Shape.

@@ -1,6 +1,6 @@
 // Offline integrity scrub for a document store directory (`nokq verify`).
 //
-// Five passes, each independent of the machinery it checks:
+// Six passes, each independent of the machinery it checks:
 //
 //   1. Page scrub: every page of every paged component file (the tree
 //      string and the four B+ tree indexes) is read raw through a Pager in
@@ -16,15 +16,15 @@
 //      summaries, every chain page's summary is recomputed from the page
 //      body and compared against the word the scans consult, so a stale
 //      or corrupted summary cannot silently cause skipped matches.
-//   5. BP-sidecar cross-check: when a tree.bpx balanced-parentheses
-//      sidecar is present, it is parsed (magic, version, CRC-32C) and its
-//      parenthesis bits and preorder tags are compared against a fresh
-//      recompute from the page chain; a stale epoch is also flagged,
-//      since bp-mode navigation built from a diverged sidecar would
-//      answer queries from the wrong topology.
+//   5, 6. Sidecar cross-check: each persisted sidecar (tree.bpx, then
+//      synopsis.pds) is parsed (envelope and payload) and, when its epoch
+//      matches the store's, diffed against a fresh rebuild from the page
+//      chain.  A stale-epoch sidecar is not reported: no open trusts it
+//      (DESIGN.md section 6, "Sidecars").
 //
-// The scrub never repairs anything; it reports.  Repair is rebuilding
-// from the source document or restoring from a copy.
+// Every file is opened read-only, so the scrub also runs on a store whose
+// files are not writable.  The scrub never repairs anything; it reports.
+// Repair is rebuilding from the source document or restoring from a copy.
 
 #ifndef NOKXML_ENCODING_STORE_VERIFIER_H_
 #define NOKXML_ENCODING_STORE_VERIFIER_H_

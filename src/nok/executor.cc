@@ -1361,6 +1361,7 @@ Result<std::vector<DeweyId>> RunImpl(DocumentStore* store, Nav* nav,
   output.op = "Output";
   output.tree = partition.returning_tree;
   output.detail = "node " + std::to_string(rn);
+  OpTimer output_timer(store);
   std::vector<NodeMatch> results;
   size_t alive_in = 0;
   for (size_t b = 0; b < bindings[rt].size(); ++b) {
@@ -1380,6 +1381,7 @@ Result<std::vector<DeweyId>> RunImpl(DocumentStore* store, Nav* nav,
   stats->results = out.size();
   output.rows_in = alive_in;
   output.rows_out = out.size();
+  output_timer.Finish(&output);
   trace->operators.push_back(std::move(output));
   return out;
 }

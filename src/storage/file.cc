@@ -216,7 +216,7 @@ Status CreateDirs(const std::string& path) {
 }
 
 Status ReadFileToString(const std::string& path, std::string* out) {
-  NOK_ASSIGN_OR_RETURN(auto file, OpenPosixFile(path, /*create=*/false));
+  NOK_ASSIGN_OR_RETURN(auto file, OpenPosixFileReadOnly(path));
   out->resize(file->Size());
   if (out->empty()) return Status::OK();
   Slice unused;

@@ -1,11 +1,10 @@
 // Planner ablation: measures what cost-based semi-join ordering (most
 // selective ready tree first + semi-join pre-filtering of anchor
-// candidates) and the plan cache buy on branchy Table-2 style queries.
+// candidates) buys on branchy Table-2 style queries.
 //
-// Three modes per query:
-//   fixed       legacy partition order (n-1..0), no pre-filter, no cache
+// Two modes per query:
+//   fixed       legacy partition order (n-1..0), no pre-filter
 //   cost        cost-based schedule + pre-filter (the default)
-//   cost+cache  cost plus the bounded plan cache (repeat runs hit it)
 //
 // The knobs only change evaluation order and which candidate pages are
 // touched, never the answer, so the run fails unless all modes return
@@ -45,14 +44,12 @@ namespace {
 
 struct Mode {
   bool cost_based;
-  bool cache;
   const char* name;
 };
 
 constexpr Mode kModes[] = {
-    {false, false, "fixed"},
-    {true, false, "cost"},
-    {true, true, "cost+cache"},
+    {false, "fixed"},
+    {true, "cost"},
 };
 
 /// One (query, mode) measurement.
@@ -61,7 +58,6 @@ struct Cell {
   double best_seconds = 0;   ///< Min over runs (noise-robust).
   double mean_seconds = 0;
   uint64_t pages_scanned = 0;
-  uint64_t cache_hits = 0;
   std::vector<std::string> deweys;  ///< For the cross-mode identity check.
 };
 
@@ -141,8 +137,8 @@ int Run(int argc, char** argv) {
 
   printf("planner ablation: %s (scale %.3f, page size %u, %d runs)\n\n",
          ds.name.c_str(), gen.scale, page_size, runs);
-  printf("%-4s %-10s %8s %9s %9s %8s %8s\n", "id", "mode", "results",
-         "best ms", "mean ms", "pages", "hits");
+  printf("%-4s %-10s %8s %9s %9s %8s\n", "id", "mode", "results",
+         "best ms", "mean ms", "pages");
 
   std::vector<std::vector<Cell>> grid;  // [query][mode].
   for (const CategoryQuery& q : queries) {
@@ -152,7 +148,6 @@ int Run(int argc, char** argv) {
       QueryEngine engine(store->get());
       QueryOptions qo;
       qo.cost_based_join_order = mode.cost_based;
-      qo.use_plan_cache = mode.cache;
       double total_seconds = 0;
       double best_seconds = 0;
       for (int r = 0; r < runs; ++r) {
@@ -184,18 +179,16 @@ int Run(int argc, char** argv) {
       }
       cell.best_seconds = best_seconds;
       cell.mean_seconds = total_seconds / runs;
-      cell.cache_hits = engine.plan_cache().stats().hits;
-      printf("%-4s %-10s %8zu %9.3f %9.3f %8llu %8llu\n", q.id.c_str(),
+      printf("%-4s %-10s %8zu %9.3f %9.3f %8llu\n", q.id.c_str(),
              mode.name, cell.results, cell.best_seconds * 1e3,
              cell.mean_seconds * 1e3,
-             static_cast<unsigned long long>(cell.pages_scanned),
-             static_cast<unsigned long long>(cell.cache_hits));
+             static_cast<unsigned long long>(cell.pages_scanned));
       row.push_back(std::move(cell));
     }
     grid.push_back(std::move(row));
   }
 
-  // Check 1: ordering, pre-filtering and caching must not change answers.
+  // Check 1: ordering and pre-filtering must not change answers.
   bool identical = true;
   for (size_t q = 0; q < grid.size(); ++q) {
     for (size_t m = 1; m < grid[q].size(); ++m) {
@@ -380,15 +373,14 @@ int Run(int argc, char** argv) {
       snprintf(
           buf, sizeof(buf),
           "    {\"query\": \"%s\", \"category\": \"%s\", "
-          "\"mode\": \"%s\", \"cost_based\": %s, \"plan_cache\": %s, "
+          "\"mode\": \"%s\", \"cost_based\": %s, "
           "\"results\": %zu, \"best_seconds\": %.6f, "
           "\"mean_seconds\": %.6f, \"pages_scanned\": %llu, "
-          "\"plan_cache_hits\": %llu, \"speedup_vs_fixed\": %.3f}%s\n",
+          "\"speedup_vs_fixed\": %.3f}%s\n",
           queries[q].id.c_str(), queries[q].category.c_str(),
           kModes[m].name, kModes[m].cost_based ? "true" : "false",
-          kModes[m].cache ? "true" : "false", c.results, c.best_seconds,
-          c.mean_seconds, static_cast<unsigned long long>(c.pages_scanned),
-          static_cast<unsigned long long>(c.cache_hits), speedup,
+          c.results, c.best_seconds, c.mean_seconds,
+          static_cast<unsigned long long>(c.pages_scanned), speedup,
           q + 1 == grid.size() && m + 1 == grid[q].size() ? "" : ",");
       json += buf;
     }

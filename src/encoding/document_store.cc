@@ -79,6 +79,14 @@ constexpr const char* kIdIdxFile = store_files::kIdIdx;
 constexpr const char* kPathIdxFile = store_files::kPathIdx;
 constexpr const char* kStaleFile = store_files::kStale;
 
+/// Every file a Build may create.
+constexpr const char* kComponentFiles[] = {
+    store_files::kTree,    store_files::kValues, store_files::kDict,
+    store_files::kTagIdx,  store_files::kValIdx, store_files::kIdIdx,
+    store_files::kPathIdx, store_files::kStale,  store_files::kBpIndex,
+    store_files::kSynopsis,
+};
+
 }  // namespace
 
 const char* NavModeName(NavMode mode) {
@@ -116,6 +124,28 @@ Status DocumentStore::InitFiles(const Options& options) {
 }
 
 Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
+    const std::string& xml, Options options) {
+  // Files that exist before the call belong to someone else (an existing
+  // store is refused with AlreadyExists) and are never removed.
+  std::vector<std::string> created;
+  if (!options.dir.empty()) {
+    for (const char* name : kComponentFiles) {
+      const std::string path = options.dir + "/" + name;
+      if (!FileExists(path)) created.push_back(path);
+    }
+  }
+  auto store = BuildComponents(xml, std::move(options));
+  if (!store.ok()) {
+    // A partial tree file has no valid meta page, so OpenDir would report
+    // the leftovers as corruption; the build error is the one to return.
+    for (const std::string& path : created) {
+      NOK_IGNORE_STATUS(RemoveFile(path), "best-effort cleanup on error");
+    }
+  }
+  return store;
+}
+
+Result<std::unique_ptr<DocumentStore>> DocumentStore::BuildComponents(
     const std::string& xml, Options options) {
   if (options.read_only) {
     return Status::InvalidArgument(
@@ -212,7 +242,7 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
       leaf_depth_sum += dewey_path.size();
     }
     NOK_RETURN_IF_ERROR(builder.Close());
-    if (store->options_.use_synopsis) synopsis_builder.Close();
+    synopsis_builder.Close();
     frames.pop_back();
     dewey_path.pop_back();
     tag_path.pop_back();
@@ -231,7 +261,7 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
     }
     uint64_t pos = 0;
     NOK_RETURN_IF_ERROR(builder.Open(tag, &pos));
-    if (store->options_.use_synopsis) synopsis_builder.Open(tag);
+    synopsis_builder.Open(tag);
     tag_path.push_back(tag);
     const DeweyId dewey{std::vector<uint32_t>(dewey_path)};
     NOK_RETURN_IF_ERROR(store->tag_index_->Insert(
@@ -299,12 +329,9 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
                             static_cast<double>(leaf_count);
   store->stats_.distinct_tags = store->tags_.size();
   store->RefreshSizeStats();
-  if (store->options_.use_synopsis) {
-    NOK_ASSIGN_OR_RETURN(auto synopsis,
-                         synopsis_builder.Finish(store->epoch_));
-    store->synopsis_.Adopt(std::move(synopsis), store->structure_version_,
-                           /*from_file=*/false);
-  }
+  NOK_ASSIGN_OR_RETURN(auto synopsis, synopsis_builder.Finish(store->epoch_));
+  store->synopsis_.Adopt(std::move(synopsis), store->structure_version_,
+                         /*from_file=*/false);
   // Materialize the BP tier eagerly so the first query pays nothing, and
   // persist the sidecars next to the freshly committed generation.
   NOK_RETURN_IF_ERROR(
@@ -466,7 +493,7 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
   // rebuilt from the page chain and re-persisted for the next open.
   const bool with_bp = options.nav_mode == NavMode::kBp;
   if (with_bp) store->TryLoadSidecar(&store->bp_);
-  if (options.use_synopsis) store->TryLoadSidecar(&store->synopsis_);
+  store->TryLoadSidecar(&store->synopsis_);
   NOK_RETURN_IF_ERROR(store->RefreshSidecars(with_bp));
   return store;
 }
@@ -764,8 +791,7 @@ Status DocumentStore::EnsureBpIndex() {
   if (bp_.current(structure_version_)) return Status::OK();
   PathSynopsis::Builder synopsis_builder;
   std::function<void(bool, TagId)> observer;
-  const bool feed_synopsis =
-      options_.use_synopsis && !synopsis_.current(structure_version_);
+  const bool feed_synopsis = !synopsis_.current(structure_version_);
   if (feed_synopsis) {
     observer = [&synopsis_builder](bool is_open, TagId tag) {
       if (is_open) {
@@ -786,9 +812,7 @@ Status DocumentStore::EnsureBpIndex() {
 }
 
 Status DocumentStore::EnsureSynopsis() {
-  if (!options_.use_synopsis || synopsis_.current(structure_version_)) {
-    return Status::OK();
-  }
+  if (synopsis_.current(structure_version_)) return Status::OK();
   NOK_ASSIGN_OR_RETURN(auto synopsis,
                        PathSynopsis::Build(tree_.get(), epoch_));
   synopsis_.Adopt(std::move(synopsis), structure_version_,

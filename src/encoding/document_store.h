@@ -110,13 +110,6 @@ struct DocumentStoreOptions {
   /// and persist the sidecar on commit; the paged cursor remains
   /// available for verification and updates.
   NavMode nav_mode = NavMode::kPaged;
-  /// Maintain the DataGuide-style path synopsis (path_synopsis.h): built
-  /// in the same pass as the rest of the store (or loaded from the
-  /// synopsis.pds sidecar when its epoch matches) and fed to the Planner
-  /// for per-pattern-node cardinality estimates and schema-impossible
-  /// pruning.  Off = the planner falls back to flat tag counts (the
-  /// `--no-synopsis` ablation).
-  bool use_synopsis = true;
   /// Directory for the store files; empty = fully in-memory.
   std::string dir;
   /// Hook for wrapping component files (fault injection in tests).  When
@@ -174,7 +167,9 @@ class DocumentStore {
  public:
   using Options = DocumentStoreOptions;
 
-  /// Parses xml and builds all stores/indexes in a single SAX pass.
+  /// Parses xml and builds all stores/indexes in a single SAX pass.  On
+  /// failure with a non-empty dir, removes every component file this
+  /// call created, so no half-written store is left behind.
   static Result<std::unique_ptr<DocumentStore>> Build(const std::string& xml,
                                                       Options options = {});
 
@@ -207,11 +202,10 @@ class DocumentStore {
   /// tree.bpx sidecar (vs a rebuild scan of the page chain).
   bool bp_loaded_from_sidecar() const { return bp_.from_sidecar; }
 
-  /// The path synopsis for the current structure (path_synopsis.h), or
-  /// null when Options::use_synopsis is off.  Materialized eagerly by
-  /// Build/OpenDir and kept current across updates via
-  /// structure_version(), so read-only concurrent readers only ever see
-  /// the already-built immutable instance.
+  /// The path synopsis for the current structure (path_synopsis.h).
+  /// Materialized eagerly by Build/OpenDir, so never null after either; a
+  /// structural update drops it until the next Flush rebuilds it.
+  /// Read-only concurrent readers only see the built immutable instance.
   const PathSynopsis* path_synopsis() const { return synopsis_.value.get(); }
 
   /// Whether the current in-memory synopsis came from a matching
@@ -321,10 +315,10 @@ class DocumentStore {
 
   /// Monotonic count of structural/index mutations in this process:
   /// bumped by every InsertSubtree/DeleteSubtree and by
-  /// RefreshPositions.  epoch() only advances on Flush, so plan caches
-  /// combine both to invalidate on any change that can alter planning
-  /// inputs (tag counts, value counts, position freshness).  In-memory
-  /// only — not persisted.
+  /// RefreshPositions.  epoch() only advances on Flush; this counter
+  /// tells the in-memory sidecars (BP index, path synopsis) whether they
+  /// still describe the current structure.  In-memory only — not
+  /// persisted.
   uint64_t structure_version() const { return structure_version_; }
 
   /// Clears all buffer pools and I/O counters (cold-start for benchmarks).
@@ -332,6 +326,10 @@ class DocumentStore {
 
  private:
   DocumentStore() = default;
+
+  /// Build without the failure cleanup.
+  static Result<std::unique_ptr<DocumentStore>> BuildComponents(
+      const std::string& xml, Options options);
 
   Status InitFiles(const Options& options);
   Status SaveDictionary();
@@ -405,7 +403,7 @@ class DocumentStore {
   Status CommitComponents();
 
   /// Brings the sidecars this handle keeps eagerly (the BP index when
-  /// `with_bp`, the synopsis when enabled) up to the current structure,
+  /// `with_bp`, and the synopsis) up to the current structure,
   /// then stamps and persists each one whose file does not already hold
   /// epoch_.
   Status RefreshSidecars(bool with_bp);
@@ -428,7 +426,7 @@ class DocumentStore {
   Status EnsureBpIndex();
 
   /// Makes the synopsis match the current structure by one sequential
-  /// scan.  No-op when Options::use_synopsis is off.
+  /// scan.
   Status EnsureSynopsis();
 
   Options options_;

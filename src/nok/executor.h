@@ -72,8 +72,7 @@ struct OperatorStats {
 /// Everything ExplainLast needs about the last execution.
 struct ExecutionTrace {
   std::vector<OperatorStats> operators;
-  bool plan_cache_hit = false;  ///< Filled by QueryEngine.
-  double plan_seconds = 0;      ///< Planning wall time (0 on cache hit).
+  double plan_seconds = 0;  ///< Planning wall time (filled by QueryEngine).
   /// Whether the plan's estimates came from the path synopsis, and
   /// whether the synopsis proved the query empty (EmptyResult plan —
   /// the run then touches zero pages and runs zero probes).

@@ -13,6 +13,9 @@ namespace {
 
 constexpr uint64_t kMaxScore = std::numeric_limits<uint64_t>::max();
 
+/// Cap for value- and path-selectivity estimation: counting stops here.
+constexpr size_t kEstimateCap = 512;
+
 /// Plan-time resolved tag of a pattern node (see ResolvePatternTags).
 TagId ResolvedTag(const std::vector<TagId>& tag_table,
                   const PatternNode* p) {
@@ -313,7 +316,7 @@ Result<AccessPath> Planner::PlanTree(
       NOK_ASSIGN_OR_RETURN(
           size_t count,
           store_->EstimateValueCount(Slice(p->predicate.operand),
-                                     options.value_estimate_cap));
+                                     kEstimateCap));
       const uint64_t score = count + below[i];
       if (score < best_value.score) {
         best_value = ValueChoice{score, count, p->predicate.operand,
@@ -350,8 +353,7 @@ Result<AccessPath> Planner::PlanTree(
         size_t count = 0;
         if (!tag_path.empty()) {
           NOK_ASSIGN_OR_RETURN(
-              count, store_->EstimatePathCount(tag_path,
-                                               options.value_estimate_cap));
+              count, store_->EstimatePathCount(tag_path, kEstimateCap));
         }
         const uint64_t score = count + below[i];
         if (score < best_path.score) {

@@ -17,9 +17,9 @@
 // marked empty_result and the Executor returns without any I/O.
 //
 // Planning is pure: no index hits are fetched and no subject-tree pages
-// are touched beyond the estimate probes, so plans are cacheable (see
-// plan_cache.h) and inspectable (`nokq explain`).  The executor
-// (executor.h) is the only layer that materializes candidates.
+// are touched beyond the estimate probes, so plans are cheap to build
+// per query and inspectable (`nokq explain`).  The executor (executor.h)
+// is the only layer that materializes candidates.
 
 #ifndef NOKXML_NOK_PLANNER_H_
 #define NOKXML_NOK_PLANNER_H_
@@ -49,8 +49,6 @@ struct QueryOptions {
   /// kAuto: a tag index is used when the best tag count is below this
   /// fraction of the document's node count; otherwise scan.
   double index_fraction = 1.0 / 16;
-  /// Cap for value-selectivity estimation (counting stops here).
-  size_t value_estimate_cap = 512;
   /// Consider the path index (B+p) during planning.  Only applies while
   /// the store's positions are fresh (the path index is rebuilt, not
   /// maintained, across updates).
@@ -60,15 +58,10 @@ struct QueryOptions {
   /// evaluated child-tree results before any page is fetched for them.
   /// Off reproduces the legacy fixed partition order exactly.
   bool cost_based_join_order = true;
-  /// Consult/populate the engine's bounded plan cache.  Off by default:
-  /// a cache hit skips the planner's estimate probes, which changes the
-  /// per-query I/O profile that diagnostics tests and benchmarks pin
-  /// down.  Long-lived engines re-running the same workload turn it on.
-  bool use_plan_cache = false;
-  /// Feed estimates from the store's path synopsis when it has one:
-  /// per-pattern-node cardinalities and schema-impossible-path pruning
-  /// (EmptyResult plans).  Off falls back to flat tag counts — the
-  /// `--no-synopsis` ablation.  Recorded in the plan-cache key.
+  /// Feed estimates from the store's path synopsis when it has a current
+  /// one: per-pattern-node cardinalities and schema-impossible-path
+  /// pruning (EmptyResult plans).  Off falls back to flat tag counts —
+  /// the `--no-synopsis` ablation.
   bool use_synopsis = true;
 };
 
@@ -77,7 +70,7 @@ struct QueryOptions {
 /// (est-vs-actual rows) and explain formatting.
 struct Cardinality {
   /// Expected candidates produced by the access-path probe (tag counts
-  /// exact; value/path counts capped at value_estimate_cap).
+  /// exact; value/path counts capped, see planner.cc).
   uint64_t candidates = 0;
   /// Expected bindings produced by this tree's structural match.  With
   /// the path synopsis this is the independence estimate of the node the
@@ -146,16 +139,15 @@ struct QueryPlan {
   std::vector<TreeAccessPlan> trees;  ///< Indexed by tree id.
   std::vector<int> schedule;          ///< Tree ids, evaluation order.
   /// Whether the executor may prune anchor candidates with the semi-join
-  /// pre-filter (mirrors QueryOptions::cost_based_join_order at plan
-  /// time so a cached plan replays identically).
+  /// pre-filter (QueryOptions::cost_based_join_order at plan time).
   bool cost_based = true;
   /// Navigation tier the plan was built for (the store's nav_mode at
-  /// plan time; the cache key carries it too).  In kBp mode scans and
+  /// plan time).  In kBp mode scans and
   /// Dewey resolution run on the in-memory balanced-parentheses index —
   /// a zero-page access path — instead of the paged string.
   NavMode nav_mode = NavMode::kPaged;
   /// Whether the path synopsis fed the estimates (QueryOptions::
-  /// use_synopsis AND the store had one; part of the plan-cache key).
+  /// use_synopsis AND the store had a current one).
   bool synopsis_used = false;
   /// Set when the synopsis proved some pattern arc matches no rooted
   /// path in the document: the schedule is empty and the Executor emits

@@ -149,6 +149,39 @@ TEST(DocumentStoreTest, BuildRejectsMalformedXml) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(DocumentStoreTest, FailedBuildLeavesNoComponentFiles) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("nokxml_failed_build_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  // A 300-deep chain makes Dewey keys too large for 4 KiB index pages.
+  std::string xml;
+  for (int i = 0; i < 300; ++i) xml += "<a>";
+  for (int i = 0; i < 300; ++i) xml += "</a>";
+  DocumentStore::Options options;
+  options.dir = dir;
+  auto r = DocumentStore::Build(xml, options);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  for (const char* name :
+       {store_files::kTree, store_files::kValues, store_files::kDict,
+        store_files::kTagIdx, store_files::kValIdx, store_files::kIdIdx,
+        store_files::kPathIdx, store_files::kStale, store_files::kBpIndex,
+        store_files::kSynopsis}) {
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + name)) << name;
+  }
+
+  // A Build refused over an existing store leaves that store intact.
+  ASSERT_TRUE(DocumentStore::Build(kBibXml, options).ok());
+  auto again = DocumentStore::Build(kBibXml, options);
+  EXPECT_TRUE(again.status().IsAlreadyExists()) << again.status().ToString();
+  auto reopened = DocumentStore::OpenDir(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->stats().node_count, 15u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(DocumentStoreTest, IdIndexCoversEveryNode) {
   auto store = Build(kBibXml);
   EXPECT_EQ(store->id_index()->num_entries(), store->stats().node_count);

@@ -154,7 +154,8 @@ TEST(FaultInjectorTest, PartialCrashKeepsASeededSubsetOfUnsyncedOps) {
     EXPECT_TRUE(file.WriteAt(0, Slice("DDDDDDDD")).ok());
     EXPECT_TRUE(file.Sync().ok());  // Durable image: 8 D's.
     for (int i = 0; i < 8; ++i) {
-      EXPECT_TRUE(file.WriteAt(i, Slice(std::string(1, 'a' + i))).ok());
+      const std::string byte(1, static_cast<char>('a' + i));
+      EXPECT_TRUE(file.WriteAt(static_cast<uint64_t>(i), Slice(byte)).ok());
     }
     injector->EnablePartialCrash(seed, keep_p);
     EXPECT_TRUE(injector->DropAllUnsyncedData().ok());

@@ -143,11 +143,11 @@ std::vector<Mismatch> CheckCase(const FuzzCase& fuzz_case,
   RegionEngine region(&*interval);
 
   // Store matrix: {tag summaries off, on} x {paged, bp navigation} plus
-  // a synopsis-less store; small pages so paging is real.  The bp
-  // configuration runs with tag summaries on (its candidate scans never
-  // touch pages anyway), and the synopsis-less store pins the planner's
-  // flat-estimate fallback: four stores cover all engine-visible
-  // combinations.
+  // a run with the query-level synopsis switch off; small pages so
+  // paging is real.  The bp configuration runs with tag summaries on
+  // (its candidate scans never touch pages anyway), and the nosyn run
+  // pins the planner's flat-estimate fallback: four configurations cover
+  // all engine-visible combinations.
   struct StoreConfig {
     bool tag_summaries;
     NavMode nav_mode;
@@ -166,7 +166,6 @@ std::vector<Mismatch> CheckCase(const FuzzCase& fuzz_case,
     options.page_size = 512;
     options.use_tag_summaries = config.tag_summaries;
     options.nav_mode = config.nav_mode;
-    options.use_synopsis = config.synopsis;
     auto store = DocumentStore::Build(fuzz_case.xml, options);
     if (!store.ok()) {
       out.push_back(
@@ -232,23 +231,19 @@ std::vector<Mismatch> CheckCase(const FuzzCase& fuzz_case,
             &out);
     }
 
-    // NoK engine matrix: store knobs x strategy x plan cache.
+    // NoK engine matrix: configuration x strategy.
     for (size_t s = 0; s < stores.size(); ++s) {
       QueryEngine engine(stores[s].get());
       for (StartStrategy strategy : strategies) {
-        for (bool cache : {false, true}) {
-          QueryOptions qo;
-          qo.strategy = strategy;
-          qo.use_plan_cache = cache;
-          qo.use_synopsis = configs[s].synopsis;
-          auto r = engine.Evaluate(query, qo);
-          const std::string name =
-              std::string("nok ") + StrategyName(strategy) +
-              configs[s].suffix + (cache ? " cache" : "");
-          Judge(name, query, want, r.status(),
-                r.ok() ? CanonDewey(*r) : std::vector<std::string>{},
-                &out);
-        }
+        QueryOptions qo;
+        qo.strategy = strategy;
+        qo.use_synopsis = configs[s].synopsis;
+        auto r = engine.Evaluate(query, qo);
+        const std::string name = std::string("nok ") +
+                                 StrategyName(strategy) + configs[s].suffix;
+        Judge(name, query, want, r.status(),
+              r.ok() ? CanonDewey(*r) : std::vector<std::string>{},
+              &out);
       }
     }
   }

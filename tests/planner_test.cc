@@ -1,7 +1,6 @@
-// Planner/executor/plan-cache tests: schedule validity, access-path
-// selection and estimates, the bounded LRU plan cache (including
-// update-driven invalidation), `ExplainLast` contents, and the
-// last_stats staleness regression (a failed Evaluate must never leave
+// Planner/executor tests: schedule validity, access-path selection and
+// estimates, `ExplainLast` contents, and the last_stats staleness
+// regression (a failed Evaluate must never leave
 // the previous query's diagnostics in place).
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include "encoding/document_store.h"
 #include "nok/nok_partition.h"
 #include "nok/physical_matcher.h"
-#include "nok/plan_cache.h"
 #include "nok/planner.h"
 #include "nok/query_engine.h"
 #include "nok/xpath_parser.h"
@@ -191,80 +189,6 @@ TEST(PlannerTest, PlanToStringIsStable) {
   EXPECT_NE(text.find("value-index value=\"Stevens\""), std::string::npos);
   EXPECT_NE(text.find("arc: tree 0 node 0 -//-> tree 1"),
             std::string::npos);
-}
-
-TEST(PlanCacheTest, KeyCoversOptionsAndStoreGeneration) {
-  QueryOptions a;
-  const std::string base = PlanCache::Key("pat", a, 1, 1);
-  EXPECT_EQ(base, PlanCache::Key("pat", a, 1, 1));
-  EXPECT_NE(base, PlanCache::Key("other", a, 1, 1));
-  EXPECT_NE(base, PlanCache::Key("pat", a, 2, 1));  // Epoch.
-  EXPECT_NE(base, PlanCache::Key("pat", a, 1, 2));  // Structure version.
-
-  QueryOptions b = a;
-  b.strategy = StartStrategy::kScan;
-  EXPECT_NE(base, PlanCache::Key("pat", b, 1, 1));
-  QueryOptions c = a;
-  c.cost_based_join_order = false;
-  EXPECT_NE(base, PlanCache::Key("pat", c, 1, 1));
-  QueryOptions d = a;
-  d.index_fraction = 0.5;
-  EXPECT_NE(base, PlanCache::Key("pat", d, 1, 1));
-}
-
-TEST(PlanCacheTest, LruBoundAndStats) {
-  PlanCache cache(2);
-  auto plan = std::make_shared<const QueryPlan>();
-  EXPECT_EQ(cache.Lookup("a"), nullptr);
-  cache.Insert("a", plan);
-  cache.Insert("b", plan);
-  EXPECT_NE(cache.Lookup("a"), nullptr);  // Refreshes "a".
-  cache.Insert("c", plan);                // Evicts "b", the LRU entry.
-  EXPECT_EQ(cache.Lookup("b"), nullptr);
-  EXPECT_NE(cache.Lookup("a"), nullptr);
-  EXPECT_NE(cache.Lookup("c"), nullptr);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().hits, 3u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().insertions, 3u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(PlanCacheTest, EngineCachesPlansAndInvalidatesOnUpdate) {
-  auto store = MakeStore(kBibXml);
-  QueryEngine engine(store.get());
-  QueryOptions qo;
-  qo.use_plan_cache = true;
-  const std::string q = "//book[author/last=\"Stevens\"]";
-
-  auto first = engine.Evaluate(q, qo);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(first->size(), 2u);
-  EXPECT_EQ(engine.plan_cache().stats().misses, 1u);
-  EXPECT_NE(engine.ExplainLast().find("plan cache miss"),
-            std::string::npos);
-
-  auto second = engine.Evaluate(q, qo);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(engine.plan_cache().stats().hits, 1u);
-  EXPECT_NE(engine.ExplainLast().find("plan cache hit"),
-            std::string::npos);
-  EXPECT_EQ(*first, *second);
-
-  // A structural update bumps the store's structure version, so the
-  // cached plan is stale and the query replans (and sees the new node).
-  const uint64_t version = store->structure_version();
-  ASSERT_TRUE(store
-                  ->InsertSubtree(DeweyId({0, 3}), 1,
-                                  "<author><last>Stevens</last>"
-                                  "<first>R.</first></author>")
-                  .ok());
-  EXPECT_GT(store->structure_version(), version);
-  auto third = engine.Evaluate(q, qo);
-  ASSERT_TRUE(third.ok()) << third.status().ToString();
-  EXPECT_EQ(third->size(), 3u);
-  EXPECT_EQ(engine.plan_cache().stats().misses, 2u);
-  EXPECT_EQ(engine.plan_cache().stats().hits, 1u);
 }
 
 TEST(QueryEngineTest, FailedEvaluateClearsPreviousDiagnostics) {

@@ -6,7 +6,7 @@
 //               [--no-tag-summaries] [--nav-mode paged|bp]
 //               [--no-synopsis]
 //   nokq explain <store-dir> <xpath> [--strategy ...] [--fixed-order]
-//               [--plan-cache] [--nav-mode paged|bp] [--no-synopsis]
+//               [--nav-mode paged|bp] [--no-synopsis]
 //                                  print the query plan + operator trace
 //   nokq stream <file.xml> <xpath>              single-pass evaluation
 //   nokq stats  <store-dir>                     Table-1 style statistics
@@ -58,8 +58,7 @@ int Usage() {
           "              [--no-header-skip] [--no-tag-summaries]\n"
           "              [--nav-mode paged|bp] [--no-synopsis]\n"
           "  nokq explain <store-dir> <xpath> [--fixed-order]\n"
-          "              [--plan-cache] [--nav-mode paged|bp]\n"
-          "              [--no-synopsis]\n"
+          "              [--nav-mode paged|bp] [--no-synopsis]\n"
           "              [--strategy auto|scan|tag|value|path]\n"
           "  nokq stream <file.xml> <xpath>\n"
           "  nokq stats  <store-dir>\n"
@@ -131,15 +130,13 @@ nok::Result<nok::DeweyId> ParseDewey(const std::string& text) {
 nok::Result<std::unique_ptr<nok::DocumentStore>> OpenStore(
     const std::string& dir, bool use_header_skip = true,
     bool use_tag_summaries = true, bool wal = false,
-    nok::NavMode nav_mode = nok::NavMode::kPaged,
-    bool use_synopsis = true) {
+    nok::NavMode nav_mode = nok::NavMode::kPaged) {
   nok::DocumentStore::Options options;
   options.dir = dir;
   options.use_header_skip = use_header_skip;
   options.use_tag_summaries = use_tag_summaries;
   options.wal.enabled = wal;
   options.nav_mode = nav_mode;
-  options.use_synopsis = use_synopsis;
   return nok::DocumentStore::OpenDir(options);
 }
 
@@ -188,8 +185,6 @@ int CmdExplain(int argc, char** argv) {
   for (int i = 4; i < argc; ++i) {
     if (strcmp(argv[i], "--fixed-order") == 0) {
       options.cost_based_join_order = false;
-    } else if (strcmp(argv[i], "--plan-cache") == 0) {
-      options.use_plan_cache = true;
     } else if (strcmp(argv[i], "--no-synopsis") == 0) {
       options.use_synopsis = false;
     } else if (strcmp(argv[i], "--strategy") == 0 && i + 1 < argc) {
@@ -200,8 +195,7 @@ int CmdExplain(int argc, char** argv) {
       return Usage();
     }
   }
-  auto store = OpenStore(dir, true, true, false, nav_mode,
-                         options.use_synopsis);
+  auto store = OpenStore(dir, true, true, false, nav_mode);
   if (!store.ok()) return Fail(store.status());
   nok::QueryEngine engine(store->get());
   auto result = engine.Evaluate(xpath, options);
@@ -237,8 +231,7 @@ int CmdQuery(int argc, char** argv) {
     }
   }
 
-  auto store = OpenStore(dir, header_skip, tag_summaries, false, nav_mode,
-                         options.use_synopsis);
+  auto store = OpenStore(dir, header_skip, tag_summaries, false, nav_mode);
   if (!store.ok()) return Fail(store.status());
   nok::QueryEngine engine(store->get());
   nok::Timer timer;

@@ -563,7 +563,7 @@ Status DocumentStore::Flush() {
           "recover");
     }
     // Nothing captured, nothing to commit: keep the epoch stable so
-    // snapshot readers and the plan cache see no phantom generation.
+    // snapshot readers and sidecar stamps see no phantom generation.
     if (!wal_writer_->in_transaction()) return Status::OK();
     if (options_.wal.refresh_positions_on_commit && !positions_fresh_) {
       // Fold the position refresh into this commit: the rebuilt index

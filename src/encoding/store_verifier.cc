@@ -196,6 +196,46 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
   }
   auto store = std::move(store_or).ValueOrDie();
 
+  // Still pass 2: the page headers' symbol counts.  BP-tier queries map
+  // an index position to its BP bit through the counts the in-memory
+  // headers imply (StringStore::SymbolRank), so every chain page's
+  // header-derived count must equal the symbols its body decodes to, and
+  // the counts must sum to two per node.  Checked before the B+i pass:
+  // a damaged header misplaces every later node, and the root cause must
+  // not drown behind the issue cap.
+  StringStore* tree = store->tree();
+  uint64_t header_symbols = 0;
+  bool counts_ok = true;
+  for (size_t i = 0; i < tree->chain_length(); ++i) {
+    const PageId page = tree->chain_page(i);
+    auto from_header = tree->HeaderSymbolCount(i);
+    auto decoded = tree->DecodedSymbolCount(page);
+    if (!from_header.ok()) {
+      AddIssue(&report, store_files::kTree,
+               from_header.status().ToString());
+    } else if (!decoded.ok()) {
+      AddIssue(&report, store_files::kTree,
+               "page " + std::to_string(page) +
+                   ": cannot decode the body: " +
+                   decoded.status().ToString());
+    } else if (from_header.ValueOrDie() != decoded.ValueOrDie()) {
+      AddIssue(&report, store_files::kTree,
+               "page " + std::to_string(page) + ": header implies " +
+                   std::to_string(from_header.ValueOrDie()) +
+                   " symbols but the body holds " +
+                   std::to_string(decoded.ValueOrDie()));
+    }
+    if (from_header.ok()) header_symbols += from_header.ValueOrDie();
+    counts_ok = counts_ok && from_header.ok() && decoded.ok() &&
+                from_header.ValueOrDie() == decoded.ValueOrDie();
+  }
+  if (counts_ok && header_symbols != 2 * tree->node_count()) {
+    AddIssue(&report, store_files::kTree,
+             "page headers imply " + std::to_string(header_symbols) +
+                 " symbols but the tree records " +
+                 std::to_string(tree->node_count()) + " nodes");
+  }
+
   // Pass 3: every B+i entry against an independent navigation of the
   // tree string, and its value record against the data file.
   BTreeIterator it = store->id_index()->NewIterator();
@@ -275,7 +315,6 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
   // summary cannot cause wrong answers on its own (false positives only
   // slow scans down), but a summary missing a present tag makes
   // NextOpenWithTag skip matches, so a mismatch is real damage.
-  StringStore* tree = store->tree();
   if (tree->options().use_tag_summaries) {
     for (size_t i = 0; i < tree->chain_length(); ++i) {
       const PageId page = tree->chain_page(i);

@@ -7,7 +7,10 @@
 //      the store's format, so checksum mismatches are reported per page —
 //      including pages the higher layers would never visit.
 //   2. Structural open: DocumentStore::OpenDir, which validates magics,
-//      format versions, the page-chain walk, and cross-component epochs.
+//      format versions, the page-chain walk, and cross-component epochs;
+//      then every chain page's header-derived symbol count (what BP-tier
+//      position mapping relies on) against the symbols its body decodes
+//      to, and their sum against two per node.
 //   3. Index cross-check: every B+i (Dewey -> position/value) entry is
 //      re-derived by pure FIRST-CHILD / FOLLOWING-SIBLING navigation of
 //      the tree string and compared against the stored entry, and its

@@ -446,7 +446,60 @@ Status StringStore::RebuildChainFromHeaders() {
   if (chain_.empty()) {
     return Status::Corruption("string store has an empty page chain");
   }
+  // A header with no consistent count does not fail the open: only the
+  // position mapping depends on the counts, and SymbolRank reports it.
+  symbols_before_.assign(1, 0);
+  symbol_counts_ = Status::OK();
+  for (size_t i = 0; i < chain_.size(); ++i) {
+    Result<uint64_t> count = HeaderSymbolCount(i);
+    if (!count.ok() && symbol_counts_.ok()) symbol_counts_ = count.status();
+    symbols_before_.push_back(symbols_before_.back() +
+                              (count.ok() ? count.ValueOrDie() : 0));
+  }
   return Status::OK();
+}
+
+Result<uint64_t> StringStore::HeaderSymbolCount(size_t i) const {
+  NOK_CHECK(i < chain_.size());
+  const StorePageHeader& h = headers_[chain_[i]];
+  const int64_t st_next =
+      i + 1 < chain_.size() ? headers_[chain_[i + 1]].st : 0;
+  const int64_t delta = st_next - h.st;
+  const int64_t three_opens = static_cast<int64_t>(h.used) + delta;
+  if (three_opens < 0 || three_opens % 3 != 0 || three_opens / 3 < delta) {
+    return Status::Corruption(
+        "page " + std::to_string(chain_[i]) + " header (used " +
+        std::to_string(h.used) + ", level " + std::to_string(h.st) +
+        " -> " + std::to_string(st_next) +
+        ") yields no consistent symbol count");
+  }
+  const int64_t opens = three_opens / 3;
+  return static_cast<uint64_t>(2 * opens - delta);
+}
+
+Result<uint64_t> StringStore::DecodedSymbolCount(PageId page) {
+  if (page == kMetaPage || page >= headers_.size()) {
+    return Status::OutOfRange("page id out of range");
+  }
+  NOK_ASSIGN_OR_RETURN(auto vh, FetchView(page));
+  return static_cast<uint64_t>(vh.view->size());
+}
+
+Result<uint64_t> StringStore::SymbolRank(uint64_t global) const {
+  NOK_RETURN_IF_ERROR(symbol_counts_);
+  if (symbols_before_.back() != 2 * node_count_) {
+    return Status::Corruption(
+        "page headers count " + std::to_string(symbols_before_.back()) +
+        " symbols but the store holds " + std::to_string(node_count_) +
+        " nodes");
+  }
+  const uint64_t seq = global / options_.page_size;
+  if (seq < chain_.size()) {
+    const uint64_t rank = symbols_before_[seq] + global % options_.page_size;
+    if (rank < symbols_before_[seq + 1]) return rank;
+  }
+  return Status::Corruption("global position " + std::to_string(global) +
+                            " lies past the symbols of its page");
 }
 
 Status StringStore::WriteMetaPage() {

@@ -245,6 +245,27 @@ class StringStore {
   /// Inverse of GlobalPos.
   Result<StorePos> PosForGlobal(uint64_t global) const;
 
+  /// Symbol count of the i-th chain page (i < chain_length()) derived
+  /// from the in-memory headers alone.  An open symbol is 2 bytes and a
+  /// close 1, so used = 2*opens + closes; the level moves by opens -
+  /// closes across the page (from its st to the next page's st, or to 0
+  /// after the last page).  Hence opens = (used + delta) / 3 and closes =
+  /// opens - delta.  Corruption when no such counts exist.
+  Result<uint64_t> HeaderSymbolCount(size_t i) const;
+
+  /// Number of symbols decoded from a page body — the verifier's
+  /// cross-check of HeaderSymbolCount.
+  Result<uint64_t> DecodedSymbolCount(PageId page);
+
+  /// Document-order rank of the symbol at a global position: the symbols
+  /// of every earlier chain page plus the index within its own page.  The
+  /// BP index (bp_index.h) spends one bit per symbol in the same order,
+  /// so for an open symbol this is its BP open bit.  Header arithmetic
+  /// only, no page access.  Corruption when the header-derived counts do
+  /// not sum to 2 * node_count() or the position lies past its page's
+  /// last symbol.
+  Result<uint64_t> SymbolRank(uint64_t global) const;
+
   // -------------------------------------------------------------------
   // Introspection.
 
@@ -390,7 +411,8 @@ class StringStore {
   /// list head).
   Status WriteMetaPage();
 
-  /// Rebuilds chain_/chain_seq_ from the in-memory headers (no I/O).
+  /// Rebuilds chain_/chain_seq_/symbols_before_ from the in-memory headers
+  /// (no I/O).
   Status RebuildChainFromHeaders();
 
   Options options_;
@@ -400,6 +422,10 @@ class StringStore {
   std::vector<uint64_t> tag_summaries_;    // Indexed by PageId.
   std::vector<PageId> chain_;              // Chain order.
   std::vector<uint64_t> chain_seq_;        // PageId -> chain index.
+  // Header-derived symbols before each chain page (size chain_ + 1), and
+  // the error of the first page whose header yields no consistent count.
+  std::vector<uint64_t> symbols_before_;
+  Status symbol_counts_;
   PageId first_data_page_ = kInvalidPage;
   uint64_t node_count_ = 0;
   uint64_t epoch_ = 0;

@@ -48,36 +48,6 @@ class BpCursor {
     return node;
   }
 
-  /// Node handle for an arbitrary Dewey ID: a pure BP walk (component k
-  /// = FIRST-CHILD then k FOLLOWING-SIBLINGs), no index or page access.
-  Result<NodeT> NodeAt(const DeweyId& dewey) {
-    const auto& components = dewey.components();
-    if (components.empty() || components[0] != 0) {
-      return Status::InvalidArgument("bad Dewey ID " + dewey.ToString());
-    }
-    if (bp_->node_count() == 0) {
-      return Status::NotFound("no node with Dewey ID " + dewey.ToString());
-    }
-    uint64_t pos = 0;
-    uint64_t steps = 1;
-    for (size_t i = 1; i < components.size(); ++i) {
-      ++steps;
-      std::optional<uint64_t> child = bp_->FirstChild(pos);
-      for (uint64_t k = 0; child.has_value() && k < components[i]; ++k) {
-        ++steps;
-        child = bp_->FollowingSibling(*child);
-      }
-      if (!child.has_value()) {
-        store_->tree()->BumpBpSteps(steps);
-        return Status::NotFound("no node with Dewey ID " +
-                                dewey.ToString());
-      }
-      pos = *child;
-    }
-    store_->tree()->BumpBpSteps(steps);
-    return NodeT{pos, dewey, false};
-  }
-
   Result<std::optional<NodeT>> FirstChild(const NodeT& node) {
     if (node.virtual_root) {
       if (bp_->node_count() == 0) return std::optional<NodeT>();

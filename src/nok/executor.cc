@@ -292,14 +292,44 @@ Result<std::vector<DocumentStore::IndexedNode>> FetchHits(
 //
 //   ToMatch        NodeT -> NodeMatch (interval endpoints in kInterval
 //                  mode come from the backend's own numbering);
-//   NodeAt         Dewey ID -> NodeT (trunk verification);
+//   NodeForHit     index hit -> NodeT (its stored position while
+//                  positions are fresh, else its Dewey ID);
+//   TrunkParent    NodeT -> its parent's NodeT (trunk verification);
 //   ScanCandidates the AnchorScan operator's body;
-//   LocateAll      candidate Dewey IDs -> NodeTs;
-//   ResolveHits    index hits -> NodeTs.
+//   LocateAll      candidate Dewey IDs -> NodeTs (the stale-positions
+//                  path);
+//   LocateAncestors index hits -> their ancestors a fixed number of
+//                  levels up.
 //
 // PagedNav navigates the paged string store (BufferPool traffic, counted
 // in NavStats::pages_scanned); BpNav navigates the in-memory balanced-
 // parentheses index (no page access at all, counted in bp_steps).
+
+/// Sorts nodes into document order and drops duplicates (by Dewey ID).
+template <typename NodeT>
+void SortUniqueNodes(std::vector<NodeT>* nodes) {
+  std::sort(nodes->begin(), nodes->end(),
+            [](const NodeT& a, const NodeT& b) {
+              return a.dewey.Compare(b.dewey) < 0;
+            });
+  nodes->erase(std::unique(nodes->begin(), nodes->end(),
+                           [](const NodeT& a, const NodeT& b) {
+                             return a.dewey == b.dewey;
+                           }),
+               nodes->end());
+}
+
+/// Dewey IDs `up` levels above each hit (hits that shallow have none).
+std::vector<DeweyId> AncestorDeweys(
+    const std::vector<DocumentStore::IndexedNode>& hits, size_t up) {
+  std::vector<DeweyId> out;
+  out.reserve(hits.size());
+  for (const auto& hit : hits) {
+    auto ancestor = hit.dewey.Ancestor(up);
+    if (ancestor.has_value()) out.push_back(std::move(*ancestor));
+  }
+  return out;
+}
 
 /// Paged-string backend: the original navigation tier.
 class PagedNav {
@@ -327,10 +357,22 @@ class PagedNav {
     return match;
   }
 
-  /// Physical node for one Dewey ID via the B+i index.
-  Result<NodeT> NodeAt(const DeweyId& dewey) {
-    NOK_ASSIGN_OR_RETURN(StorePos pos, store_->Locate(dewey));
-    return NodeT{pos, dewey, false};
+  /// Physical node for an index hit: its stored position while positions
+  /// are fresh, else a B+i lookup of its Dewey ID.
+  Result<NodeT> NodeForHit(const DocumentStore::IndexedNode& hit) {
+    if (!store_->positions_fresh()) return cursor_.NodeAt(hit.dewey);
+    NOK_ASSIGN_OR_RETURN(StorePos pos, store_->tree()->PosForGlobal(hit.pos));
+    return NodeT{pos, hit.dewey, false};
+  }
+
+  /// Parent of a trunk node via the B+i index (the paged string has no
+  /// cheap PARENT step).
+  Result<NodeT> TrunkParent(const NodeT& node) {
+    std::optional<DeweyId> up = node.dewey.Parent();
+    if (!up.has_value()) {
+      return Status::Internal("trunk climbed above the document root");
+    }
+    return cursor_.NodeAt(*up);
   }
 
   /// All document nodes whose tag satisfies the NoK root's name test,
@@ -471,32 +513,11 @@ class PagedNav {
     return out;
   }
 
-  /// Index hits -> physical nodes (positions when fresh, else LocateAll).
-  Result<std::vector<NodeT>> ResolveHits(
-      const std::vector<DocumentStore::IndexedNode>& hits) {
-    if (!store_->positions_fresh()) {
-      std::vector<DeweyId> deweys;
-      deweys.reserve(hits.size());
-      for (const auto& hit : hits) deweys.push_back(hit.dewey);
-      return LocateAll(std::move(deweys));
-    }
-    std::vector<NodeT> out;
-    out.reserve(hits.size());
-    for (const auto& hit : hits) {
-      NOK_ASSIGN_OR_RETURN(StorePos pos,
-                           store_->tree()->PosForGlobal(hit.pos));
-      out.push_back(NodeT{pos, hit.dewey, false});
-    }
-    std::sort(out.begin(), out.end(),
-              [](const NodeT& a, const NodeT& b) {
-                return a.dewey.Compare(b.dewey) < 0;
-              });
-    out.erase(std::unique(out.begin(), out.end(),
-                          [](const NodeT& a, const NodeT& b) {
-                            return a.dewey == b.dewey;
-                          }),
-              out.end());
-    return out;
+  /// Index hits -> their ancestors `up` levels higher, via the prefix-
+  /// cached chain walk of LocateAll.
+  Result<std::vector<NodeT>> LocateAncestors(
+      const std::vector<DocumentStore::IndexedNode>& hits, size_t up) {
+    return LocateAll(AncestorDeweys(hits, up));
   }
 
  private:
@@ -622,15 +643,34 @@ class BpNav {
     return match;
   }
 
-  /// Node handle for one Dewey ID: a prefix-cached BP walk (candidates
-  /// arrive sorted, so consecutive trunk ancestors share the path).
-  Result<NodeT> NodeAt(const DeweyId& dewey) {
-    NOK_ASSIGN_OR_RETURN(auto pos, WalkTo(dewey));
-    if (!pos.has_value()) {
-      return Status::Corruption("index references missing node " +
-                                dewey.ToString());
+  /// Node handle for an index hit.  While positions are fresh, the hit's
+  /// global position is the rank of its open symbol in chain order
+  /// (StringStore::SymbolRank, header arithmetic), and the BP string has
+  /// one bit per symbol in the same order, so that rank is its open bit:
+  /// one step, no walk.  A rank that is not an open at the hit's depth
+  /// means the headers or the index are damaged.  Stale positions fall
+  /// back to the prefix-cached Dewey walk.
+  Result<NodeT> NodeForHit(const DocumentStore::IndexedNode& hit) {
+    if (!store_->positions_fresh()) return NodeAt(hit.dewey);
+    NOK_ASSIGN_OR_RETURN(uint64_t bit, store_->tree()->SymbolRank(hit.pos));
+    store_->tree()->BumpBpSteps(1);
+    if (bit >= bp_->bit_count() || !bp_->IsOpen(bit) ||
+        static_cast<size_t>(bp_->Depth(bit)) != hit.dewey.depth()) {
+      return Status::Corruption(
+          "index position " + std::to_string(hit.pos) + " of " +
+          hit.dewey.ToString() + " maps to BP bit " + std::to_string(bit) +
+          ", which is not an open at that depth");
     }
-    return NodeT{*pos, dewey, false};
+    return NodeT{bit, hit.dewey, false};
+  }
+
+  /// Parent of a trunk node: one Enclose on the bitvector.
+  Result<NodeT> TrunkParent(const NodeT& node) {
+    NOK_ASSIGN_OR_RETURN(auto parent, cursor_.Parent(node));
+    if (!parent.has_value() || parent->virtual_root) {
+      return Status::Internal("trunk climbed above the document root");
+    }
+    return *std::move(parent);
   }
 
   /// AnchorScan over the BP index.  Mirrors the paged heuristic: a
@@ -711,16 +751,24 @@ class BpNav {
     return out;
   }
 
-  /// Index hits -> BP nodes.  Hit positions are byte offsets into the
-  /// paged string, meaningless to the BP numbering, so resolution always
-  /// goes through the Dewey IDs (sorted + deduplicated by LocateAll) —
-  /// still zero page access.
-  Result<std::vector<NodeT>> ResolveHits(
-      const std::vector<DocumentStore::IndexedNode>& hits) {
-    std::vector<DeweyId> deweys;
-    deweys.reserve(hits.size());
-    for (const auto& hit : hits) deweys.push_back(hit.dewey);
-    return LocateAll(std::move(deweys));
+  /// Index hits -> their ancestors `up` levels higher: while positions
+  /// are fresh, each hit's open bit climbed by Enclose; otherwise the
+  /// Dewey walk of LocateAll.
+  Result<std::vector<NodeT>> LocateAncestors(
+      const std::vector<DocumentStore::IndexedNode>& hits, size_t up) {
+    if (!store_->positions_fresh()) return LocateAll(AncestorDeweys(hits, up));
+    std::vector<NodeT> out;
+    out.reserve(hits.size());
+    for (const auto& hit : hits) {
+      if (hit.dewey.depth() <= up) continue;
+      NOK_ASSIGN_OR_RETURN(NodeT node, NodeForHit(hit));
+      for (size_t i = 0; i < up; ++i) {
+        NOK_ASSIGN_OR_RETURN(node, TrunkParent(node));
+      }
+      out.push_back(std::move(node));
+    }
+    SortUniqueNodes(&out);
+    return out;
   }
 
  private:
@@ -857,20 +905,52 @@ class BpNav {
     return out;
   }
 
+  /// Node handle for one Dewey ID via the prefix-cached walk.
+  Result<NodeT> NodeAt(const DeweyId& dewey) {
+    NOK_ASSIGN_OR_RETURN(auto pos, WalkTo(dewey));
+    if (!pos.has_value()) {
+      return Status::Corruption("index references missing node " +
+                                dewey.ToString());
+    }
+    return NodeT{*pos, dewey, false};
+  }
+
   DocumentStore* store_;
   const BpIndex* bp_;
   BpCursor cursor_;
   std::vector<PathEntry> cached_;
 };
 
+/// Index hits -> nodes in document order without duplicates: each hit by
+/// its stored position (Nav::NodeForHit) while positions are fresh, else
+/// LocateAll's prefix-cached walk over the sorted Dewey IDs.
+template <typename Nav>
+Result<std::vector<typename Nav::NodeT>> ResolveHits(
+    DocumentStore* store, Nav* nav,
+    const std::vector<DocumentStore::IndexedNode>& hits) {
+  if (!store->positions_fresh()) {
+    return nav->LocateAll(AncestorDeweys(hits, 0));
+  }
+  std::vector<typename Nav::NodeT> out;
+  out.reserve(hits.size());
+  for (const auto& hit : hits) {
+    NOK_ASSIGN_OR_RETURN(auto node, nav->NodeForHit(hit));
+    out.push_back(std::move(node));
+  }
+  SortUniqueNodes(&out);
+  return out;
+}
+
 /// Anchored evaluation of one NoK tree (Section 6.2 realized): the index
 /// supplies candidate matches of the anchor node; the trunk (anchor ->
-/// tree root) is verified upward via Dewey prefixes; branch subtrees hang
-/// off trunk nodes and are matched one level down; the anchor's own
+/// tree root) is verified against the anchor's ancestors; branch subtrees
+/// hang off trunk nodes and are matched one level down; the anchor's own
 /// subtree is matched in full.  Every trunk edge is a child axis, so the
 /// subject ancestors are exactly the Dewey prefixes -- no search needed.
-/// Templated over the navigation backend: trunk nodes come from
-/// Nav::NodeAt (B+i lookups in paged mode, BP walks in bp mode).
+/// Templated over the navigation backend: the anchor comes from
+/// Nav::NodeForHit and each ancestor from Nav::TrunkParent of the one
+/// below it (an Enclose in bp mode, a B+i lookup in paged mode), except
+/// the ancestors the previous candidate shares, which are reused.
 template <typename Nav>
 class AnchoredMatcherT {
  public:
@@ -918,6 +998,7 @@ class AnchoredMatcherT {
       return std::optional<NokBinding>();
     }
 
+    NOK_RETURN_IF_ERROR(ResolveTrunk(hit));
     NokBinding binding;
     binding.matches.resize(tree_.nodes.size());
 
@@ -932,11 +1013,7 @@ class AnchoredMatcherT {
             virtual_match);
         continue;
       }
-      const size_t subject_depth =
-          doc_root ? j : hit.dewey.depth() - (trunk_len - 1) + j;
-      auto dewey = hit.dewey.Ancestor(hit.dewey.depth() - subject_depth);
-      NOK_CHECK(dewey.has_value());
-      NOK_ASSIGN_OR_RETURN(NodeT node, nav_->NodeAt(*dewey));
+      const NodeT& node = by_depth_[SubjectDepth(hit, j)];
 
       if (j + 1 == trunk_len) {
         // The anchor: match its whole pattern subtree.
@@ -970,6 +1047,48 @@ class AnchoredMatcherT {
   }
 
  private:
+  /// Document depth of the subject node at trunk level j: trunk edges are
+  /// child axes, so the levels occupy consecutive depths ending at the
+  /// anchor.
+  size_t SubjectDepth(const DocumentStore::IndexedNode& hit,
+                      size_t j) const {
+    return hit.dewey.depth() - (trunk_.size() - 1 - j);
+  }
+
+  /// Fills by_depth_ with the anchor and its trunk ancestors, bottom-up.
+  /// Candidates arrive in Dewey order, so the ancestors this one shares
+  /// with the previous candidate (depths within their common Dewey prefix
+  /// that the previous trunk reached) are already there; every other
+  /// ancestor is the TrunkParent of the one below it.
+  Status ResolveTrunk(const DocumentStore::IndexedNode& hit) {
+    const size_t depth = hit.dewey.depth();
+    const size_t top = SubjectDepth(hit, tree_.root_is_doc_root ? 1 : 0);
+    size_t shared = 0;
+    if (memo_depth_ > 0) {
+      const auto& a = hit.dewey.components();
+      const auto& b = by_depth_[memo_depth_].dewey.components();
+      while (shared < a.size() && shared < b.size() &&
+             a[shared] == b[shared]) {
+        ++shared;
+      }
+    }
+    if (by_depth_.size() <= depth) by_depth_.resize(depth + 1);
+    const size_t memo_top = memo_top_;
+    memo_depth_ = 0;  // Empty until this trunk is whole.
+    for (size_t d = depth; d >= top; --d) {
+      if (d <= shared && d >= memo_top) continue;
+      if (d == depth) {
+        NOK_ASSIGN_OR_RETURN(by_depth_[d], nav_->NodeForHit(hit));
+      } else {
+        NOK_ASSIGN_OR_RETURN(by_depth_[d],
+                             nav_->TrunkParent(by_depth_[d + 1]));
+      }
+    }
+    memo_top_ = top;
+    memo_depth_ = depth;
+    return Status::OK();
+  }
+
   /// Merges a sub-matcher's lists into the binding via the index map.
   Status Merge(const SubMatcherData& sub,
                const typename NokMatcher<CCursor>::MatchLists& lists,
@@ -1027,6 +1146,11 @@ class AnchoredMatcherT {
   std::vector<int> trunk_;
   std::vector<std::vector<SubMatcherData>> branches_;
   SubMatcherData anchor_sub_;
+  /// Trunk nodes of the last resolved candidate, indexed by document
+  /// depth; valid over [memo_top_, memo_depth_] (none while depth is 0).
+  std::vector<NodeT> by_depth_;
+  size_t memo_top_ = 0;
+  size_t memo_depth_ = 0;
 };
 
 const char* ProbeOpName(StartStrategy strategy) {
@@ -1240,18 +1364,16 @@ Result<std::vector<DeweyId>> RunImpl(DocumentStore* store, Nav* nav,
             filter_timer.Finish(&filter);
             trace->operators.push_back(std::move(filter));
           }
-          NOK_ASSIGN_OR_RETURN(candidates, nav->ResolveHits(anchor_hits));
+          NOK_ASSIGN_OR_RETURN(candidates,
+                               ResolveHits(store, nav, anchor_hits));
         } else {
           // Index hits below the root but ordering constraints force a
           // whole-tree match: map the hits up to candidate roots.
           const int depth = tree.DepthOf(access.anchor);
-          std::vector<DeweyId> roots;
-          for (const auto& hit : anchor_hits) {
-            auto up = hit.dewey.Ancestor(static_cast<size_t>(depth - 1));
-            if (up.has_value()) roots.push_back(std::move(*up));
-          }
-          NOK_ASSIGN_OR_RETURN(candidates,
-                               nav->LocateAll(std::move(roots)));
+          NOK_ASSIGN_OR_RETURN(
+              candidates,
+              nav->LocateAncestors(anchor_hits,
+                                   static_cast<size_t>(depth - 1)));
         }
       }
       tree_stats.candidates = candidates.size();

@@ -11,8 +11,12 @@
 
 #include <unistd.h>
 
+#include "btree/btree.h"
+#include "common/coding.h"
 #include "common/random.h"
+#include "datagen/dataset_gen.h"
 #include "encoding/document_store.h"
+#include "encoding/string_store.h"
 #include "nok/query_engine.h"
 #include "tests/test_util.h"
 
@@ -423,6 +427,178 @@ TEST(BpIndexTest, SidecarPersistsAndGoesStale) {
     EXPECT_EQ((*bp)->node_count(), (*store)->stats().node_count);
   }
   std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------
+// Position mapping: an index hit's global position, through the symbol
+// counts the page headers imply, lands on the BP open of the same node.
+
+/// Walks B+i in key (document) order: the i-th entry is the node of
+/// preorder rank i, so its stored position must map to the i-th open.
+void ExpectPositionsMapToPreorderOpens(DocumentStore* store) {
+  ASSERT_TRUE(store->positions_fresh());
+  auto bp = store->bp_index();
+  ASSERT_TRUE(bp.ok()) << bp.status().ToString();
+  BTreeIterator it = store->id_index()->NewIterator();
+  ASSERT_TRUE(it.SeekToFirst().ok());
+  uint64_t rank = 0;
+  while (it.Valid()) {
+    uint64_t pos = 0, offset = 0;
+    bool has_value = false;
+    ASSERT_TRUE(
+        index_keys::ParseIdPayload(it.value(), &pos, &has_value, &offset)
+            .ok());
+    auto bit = store->tree()->SymbolRank(pos);
+    ASSERT_TRUE(bit.ok()) << bit.status().ToString();
+    ASSERT_EQ(*bit, (*bp)->Select1(rank)) << "preorder rank " << rank;
+    ++rank;
+    ASSERT_TRUE(it.Next().ok());
+  }
+  EXPECT_EQ(rank, (*bp)->node_count());
+}
+
+/// True when the engine's last query matched some tree from index hits.
+bool RanAnchored(const QueryEngine& engine) {
+  for (const OperatorStats& op : engine.last_trace().operators) {
+    if (op.op == "NokMatch" && op.detail == "anchored") return true;
+  }
+  return false;
+}
+
+TEST(BpPositionMappingTest, HeaderDerivedRanksLandOnPreorderOpens) {
+  GenOptions gen;
+  gen.scale = 0.005;
+  const GeneratedDataset catalog = GenerateDataset(Dataset::kCatalog, gen);
+  DocumentStore::Options options;
+  options.page_size = 512;  // Many pages, so the per-page prefix matters.
+  options.nav_mode = NavMode::kBp;
+  auto store = DocumentStore::Build(catalog.xml, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_GT((*store)->tree()->chain_length(), 10u);
+  ExpectPositionsMapToPreorderOpens(store->get());
+
+  // Inserts larger than a page's reserve split pages: the spilled pages
+  // are allocated at the end of the file, so chain order stops matching
+  // PageId order — exactly what the chain-order prefix must absorb.
+  std::string fragment = "<attributes>";
+  for (int i = 0; i < 40; ++i) fragment += "<weight>1</weight>";
+  fragment += "</attributes>";
+  for (uint32_t item = 0; item < 6; ++item) {
+    const Status s =
+        (*store)->InsertSubtree(DeweyId({0, 0, item * 2}), 0, fragment);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+  StringStore* tree = (*store)->tree();
+  bool reordered = false;
+  for (size_t i = 1; i < tree->chain_length(); ++i) {
+    reordered = reordered || tree->chain_page(i) < tree->chain_page(i - 1);
+  }
+  ASSERT_TRUE(reordered) << "no insert split a page";
+  ASSERT_FALSE((*store)->positions_fresh());
+  ASSERT_TRUE((*store)->RefreshPositions().ok());
+  ExpectPositionsMapToPreorderOpens(store->get());
+}
+
+TEST(BpPositionMappingTest, InconsistentUsedCountIsATypedError) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("nokxml_bpmap_" + std::to_string(::getpid())))
+          .string();
+  DocumentStore::Options options;
+  options.dir = dir;
+  options.page_size = 512;
+  options.nav_mode = NavMode::kBp;
+  GenOptions gen;
+  gen.scale = 0.002;
+  const GeneratedDataset catalog = GenerateDataset(Dataset::kCatalog, gen);
+  // Table 2's Q9 shape: anchored on the value-index hits of the needle.
+  const std::string query = catalog.entry_path + "[" + catalog.needle_tag_a +
+                            "=\"" + catalog.needle_low_a + "\"]/" +
+                            catalog.detail_a;
+
+  std::vector<DeweyId> want;
+  {
+    std::filesystem::remove_all(dir);
+    auto store = DocumentStore::Build(catalog.xml, options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Flush().ok());  // Persists tree.bpx.
+    QueryEngine engine(store->get());
+    auto got = engine.Evaluate(query);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_FALSE(got->empty());
+    ASSERT_TRUE(RanAnchored(engine)) << engine.ExplainLast();
+    want = *got;
+  }
+
+  // A raw store has no page checksum, so a damaged header reaches the
+  // in-memory mirror.  +1 leaves the page with no consistent count; +3
+  // keeps it consistent but the counts no longer sum to two per node.
+  for (const uint16_t bump : {1, 3}) {
+    const uint64_t used_offset = 2 * options.page_size + 6;  // Page 2.
+    char raw[2];
+    {
+      std::fstream f(dir + "/tree.nok",
+                     std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(f.is_open());
+      f.seekg(static_cast<std::streamoff>(used_offset));
+      f.read(raw, 2);
+      EncodeFixed16(raw, static_cast<uint16_t>(DecodeFixed16(raw) + bump));
+      f.seekp(static_cast<std::streamoff>(used_offset));
+      f.write(raw, 2);
+    }
+    {
+      auto store = DocumentStore::OpenDir(options);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      ASSERT_TRUE((*store)->bp_loaded_from_sidecar());
+      QueryEngine engine(store->get());
+      auto got = engine.Evaluate(query);
+      ASSERT_FALSE(got.ok()) << "bump " << bump << " answered "
+                             << got->size() << " rows";
+      EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+    }
+    // Undo the damage for the next round.
+    std::fstream f(dir + "/tree.nok",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    EncodeFixed16(raw, static_cast<uint16_t>(DecodeFixed16(raw) - bump));
+    f.seekp(static_cast<std::streamoff>(used_offset));
+    f.write(raw, 2);
+  }
+  {
+    auto store = DocumentStore::OpenDir(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    QueryEngine engine(store->get());
+    auto got = engine.Evaluate(query);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, want);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------
+// Work counters: anchored matching on the BP tier costs a constant number
+// of steps per hit and trunk level, wherever the hit sits among its
+// siblings.  (A Dewey walk from the first child costs steps in the
+// sibling index, so this fan-out makes it quadratic.)
+
+TEST(BpPositionMappingTest, AnchoredStepsStayLinearOnWideFanout) {
+  constexpr uint64_t kChildren = 5000;
+  std::string xml = "<r>";
+  for (uint64_t i = 0; i < kChildren; ++i) xml += "<c><k/></c>";
+  xml += "</r>";
+  DocumentStore::Options options;
+  options.nav_mode = NavMode::kBp;
+  auto store = DocumentStore::Build(xml, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+
+  QueryEngine engine(store->get());
+  auto got = engine.Evaluate("/r/c/k");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->size(), kChildren);
+  ASSERT_TRUE(RanAnchored(engine)) << engine.ExplainLast();
+  const ExecutionTrace& trace = engine.last_trace();
+  constexpr uint64_t kTrunkDepth = 3;  // r / c / k
+  EXPECT_LE(trace.bp_steps, 2 * kChildren * kTrunkDepth)
+      << engine.ExplainLast();
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "encoding/document_store.h"
 #include "encoding/store_verifier.h"
 #include "encoding/tag_dictionary.h"
@@ -266,6 +267,50 @@ TEST(CorruptionTest, StaleTagSummaryWordIsDetected) {
   bool found = false;
   for (const VerifyIssue& issue : report->issues) {
     if (issue.detail.find("tag summary") != std::string::npos) found = true;
+  }
+  EXPECT_TRUE(found) << report->issues[0].detail;
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CorruptionTest, DamagedUsedCountInPageHeaderIsDetected) {
+  // A raw store again, so a damaged header survives the page scrub.  The
+  // BP tier maps index positions to bits through the symbol counts the
+  // headers imply, so the verifier checks them against the page bodies.
+  const std::string dir = TempDir("used");
+  std::filesystem::remove_all(dir);
+  DocumentStoreOptions options;
+  options.dir = dir;
+  options.page_size = 256;
+  options.index_page_size = 512;
+  {
+    auto store = DocumentStore::Build(kBibXml, options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  // Page 1 (the first data page) header: st, lo, hi, then the 2-byte
+  // used count at offset 6.  +3 bytes keeps the count arithmetic
+  // integral, so only the cross-check against the body can catch it.
+  const std::string tree_path = dir + "/" + store_files::kTree;
+  const uint64_t used_offset = options.page_size + 6;
+  {
+    auto file = OpenPosixFile(tree_path, /*create=*/false);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    char raw[2];
+    Slice got;
+    ASSERT_TRUE((*file)->ReadAt(used_offset, 2, raw, &got).ok());
+    EncodeFixed16(raw, static_cast<uint16_t>(DecodeFixed16(got.data()) + 3));
+    ASSERT_TRUE((*file)->WriteAt(used_offset, Slice(raw, 2)).ok());
+  }
+
+  auto report = VerifyStoreDir(dir, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_FALSE(report->ok()) << "damaged used count not detected";
+  bool found = false;
+  for (const VerifyIssue& issue : report->issues) {
+    if (issue.component == store_files::kTree &&
+        issue.detail.find("symbols but the body holds") != std::string::npos) {
+      found = true;
+    }
   }
   EXPECT_TRUE(found) << report->issues[0].detail;
   std::filesystem::remove_all(dir);

@@ -39,10 +39,12 @@ struct EngineFixture {
 };
 
 EngineFixture MakeFixture(const std::string& xml,
-                          uint32_t page_size = kDefaultPageSize) {
+                          uint32_t page_size = kDefaultPageSize,
+                          NavMode nav_mode = NavMode::kPaged) {
   EngineFixture f;
   DocumentStore::Options options;
   options.page_size = page_size;
+  options.nav_mode = nav_mode;
   auto store = DocumentStore::Build(xml, options);
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   f.store = std::move(store).ValueOrDie();
@@ -306,24 +308,50 @@ TEST(QueryEngineTest, PathIndexAnchorsUnselectiveTags) {
 }
 
 TEST(QueryEngineTest, PathIndexSkippedWhenPositionsStale) {
+  // Run on both navigation tiers: with stale positions the BP tier
+  // resolves index hits by Dewey walks, with fresh ones by mapping their
+  // stored positions to BP bits, and both must answer like the paged
+  // tier.
   std::string xml = "<a><b><x>hit</x></b><c><x>miss</x></c></a>";
-  auto f = MakeFixture(xml);
-  ASSERT_TRUE(f.store->InsertSubtree(DeweyId({0}), 0, "<d/>").ok());
-  EXPECT_FALSE(f.store->positions_fresh());
+  auto paged = MakeFixture(xml);
+  auto bp = MakeFixture(xml, kDefaultPageSize, NavMode::kBp);
+  const std::vector<std::string> queries = {
+      "/a/b/x", "//c/x", "/a/*/x", "//x", "/a/b[x=\"hit\"]",
+      "//x/parent::c",
+      // Sibling order forces whole-tree matching from the hits' ancestors.
+      "//a/c[preceding-sibling::b]/x"};
   QueryOptions options;
   options.index_fraction = 0.5;
-  auto r = f.engine->Evaluate("/a/b/x", options);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->size(), 1u);
-  EXPECT_NE(f.engine->last_stats().trees[0].strategy,
-            StartStrategy::kPathIndex);
+  auto expect_tiers_agree = [&] {
+    for (const std::string& query : queries) {
+      auto want = paged.engine->Evaluate(query, options);
+      auto got = bp.engine->Evaluate(query, options);
+      ASSERT_TRUE(want.ok()) << query << ": " << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << query << ": " << got.status().ToString();
+      EXPECT_EQ(*got, *want) << query;
+    }
+  };
+  for (EngineFixture* f : {&paged, &bp}) {
+    ASSERT_TRUE(f->store->InsertSubtree(DeweyId({0}), 0, "<d/>").ok());
+    EXPECT_FALSE(f->store->positions_fresh());
+    auto r = f->engine->Evaluate("/a/b/x", options);
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(r->size(), 1u);
+    EXPECT_NE(f->engine->last_stats().trees[0].strategy,
+              StartStrategy::kPathIndex);
+  }
+  expect_tiers_agree();
   // After a refresh the path index is consistent again.
-  ASSERT_TRUE(f.store->RefreshPositions().ok());
-  auto r2 = f.engine->Evaluate("/a/b/x", options);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->size(), 1u);
-  EXPECT_EQ(f.engine->last_stats().trees[0].strategy,
-            StartStrategy::kPathIndex);
+  for (EngineFixture* f : {&paged, &bp}) {
+    ASSERT_TRUE(f->store->RefreshPositions().ok());
+    auto r2 = f->engine->Evaluate("/a/b/x", options);
+    ASSERT_TRUE(r2.ok());
+    EXPECT_EQ(r2->size(), 1u);
+    EXPECT_EQ(f->engine->last_stats().trees[0].strategy,
+              StartStrategy::kPathIndex);
+  }
+  expect_tiers_agree();
+  EXPECT_GT(bp.store->tree()->nav_stats().bp_steps, 0u);
 }
 
 // The main differential property test: random documents x random queries

@@ -228,16 +228,19 @@ std::optional<uint64_t> BpIndex::Enclose(uint64_t pos) const {
 }
 
 std::optional<uint64_t> BpIndex::NextOpenWithTag(
-    uint64_t pos, TagId tag, uint64_t* blocks_skipped) const {
+    uint64_t pos, TagId tag, uint64_t* blocks_skipped,
+    uint64_t limit) const {
   uint64_t r = Rank1(pos + 1);  // Preorder rank of the next open, if any.
-  while (r < node_count_) {
+  // Opens before `limit` are exactly the ranks below Rank1(limit).
+  const uint64_t r_end = limit >= n_bits_ ? node_count_ : Rank1(limit);
+  while (r < r_end) {
     if ((r & 63) == 0 && r + 64 <= node_count_ && !BlockHasTag(r, tag)) {
       r += 64;
       if (blocks_skipped != nullptr) ++*blocks_skipped;
       continue;
     }
     uint64_t stop = (r | 63) + 1;
-    if (stop > node_count_) stop = node_count_;
+    if (stop > r_end) stop = r_end;
     for (; r < stop; ++r) {
       if (tags_[static_cast<size_t>(r)] == tag) return Select1(r);
     }

@@ -161,12 +161,15 @@ class BpIndex {
     return Select1(rank);
   }
 
-  /// Fused NextOpen + tag filter: the next open strictly after pos whose
-  /// tag equals `tag`.  Scans the preorder tag array four lanes per word;
-  /// aligned 64-node blocks with no matching lane are dismissed in 16
-  /// word compares and counted into *blocks_skipped (when non-null).
+  /// Fused NextOpen + tag filter: the next open strictly after pos and
+  /// before bit `limit` whose tag equals `tag`.  Scans the preorder tag
+  /// array four lanes per word; aligned 64-node blocks with no matching
+  /// lane are dismissed in 16 word compares and counted into
+  /// *blocks_skipped (when non-null).  A subtree scan passes the close
+  /// bit of its root as `limit`.
   std::optional<uint64_t> NextOpenWithTag(uint64_t pos, TagId tag,
-                                          uint64_t* blocks_skipped) const;
+                                          uint64_t* blocks_skipped,
+                                          uint64_t limit = kNpos) const;
 
  private:
   BpIndex() = default;

@@ -787,6 +787,24 @@ Result<std::optional<StorePos>> StringStore::NextOpenWithTag(StorePos pos,
       /*tag_stop_level=*/std::numeric_limits<int>::min());
 }
 
+Result<std::optional<StorePos>> StringStore::NextOpenWithTagInSubtree(
+    StorePos pos, TagId tag, int level) {
+  if (tag == kInvalidTag) {
+    return Status::InvalidArgument(
+        "NextOpenWithTagInSubtree requires a valid tag");
+  }
+  // Inside the subtree every symbol sits at `level` or deeper; the root's
+  // close is the first one below it, so a page whose lo exceeds level-1
+  // cannot stop the scan and the summary alone decides whether to skip.
+  return ScanForward(
+      pos, /*skip_level=*/std::numeric_limits<int>::max(),
+      [&](int lv, TagId t) {
+        if (lv < level) return ScanAction::kStop;
+        return t == tag ? ScanAction::kFound : ScanAction::kContinue;
+      },
+      /*filter_tag=*/tag, /*tag_stop_level=*/level - 1);
+}
+
 Status StringStore::VisitSymbols(
     const std::function<void(bool, TagId)>& visit) {
   for (const PageId page : chain_) {

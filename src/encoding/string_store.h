@@ -229,6 +229,14 @@ class StringStore {
   /// NavStats::pages_skipped_by_tag.
   Result<std::optional<StorePos>> NextOpenWithTag(StorePos pos, TagId tag);
 
+  /// NextOpenWithTag bounded to one subtree: for pos inside the subtree
+  /// of a node at `level` (its root included), the next open with `tag`
+  /// before that node's close, or nullopt.  Pages that lack the tag are
+  /// skipped by summary as long as they cannot hold the close.
+  Result<std::optional<StorePos>> NextOpenWithTagInSubtree(StorePos pos,
+                                                           TagId tag,
+                                                           int level);
+
   /// Visits every symbol in document order — one sequential chain scan
   /// through the BufferPool.  `visit(is_open, tag)` receives kInvalidTag
   /// for close symbols.  Feeds BP-index construction (bp_index.h) and the

@@ -3,8 +3,8 @@
 // StoreCursor (physical_matcher.h) and the tag-summary fused scan.
 //
 // Tree steps are O(1)-ish bit operations on the BP bitvector: FIRST-CHILD
-// is a bit probe, FOLLOWING-SIBLING a findclose, and — unlike the paged
-// cursor — PARENT is cheap too (an enclose).  No BufferPool traffic at
+// is a bit probe, FOLLOWING-SIBLING a findclose (PARENT, an enclose, is
+// the executor's BpNav::Ancestor).  No BufferPool traffic at
 // all; value predicates still go through the B+i/data-file pair keyed by
 // the Dewey ID, exactly as in paged mode, so answers are identical across
 // navigation modes.  Steps are counted into NavStats::bp_steps on the
@@ -69,21 +69,6 @@ class BpCursor {
     NodeT next{*sibling, node.dewey, false};
     next.dewey.NextSibling();  // In place: no component-vector rebuild.
     return std::optional<NodeT>(std::move(next));
-  }
-
-  /// PARENT — the step the paged cursor cannot answer without a rescan.
-  Result<std::optional<NodeT>> Parent(const NodeT& node) {
-    if (node.virtual_root) return std::optional<NodeT>();
-    if (node.dewey.depth() == 1) {
-      return std::optional<NodeT>(VirtualRoot());
-    }
-    store_->tree()->BumpBpSteps(1);
-    const auto parent = bp_->Parent(node.pos);
-    if (!parent.has_value()) return std::optional<NodeT>();
-    std::optional<DeweyId> up = node.dewey.Parent();
-    if (!up.has_value()) return std::optional<NodeT>();
-    return std::optional<NodeT>(
-        NodeT{*parent, *std::move(up), false});
   }
 
   Result<bool> Matches(const NodeT& node, const PatternNode& pattern) {

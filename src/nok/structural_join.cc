@@ -55,19 +55,23 @@ bool IsRelated(const NodeMatch& outer, const NodeMatch& inner, Axis axis,
   }
 }
 
-std::vector<NodeMatch> SelectRelatedInners(
+std::vector<char> FlagInnersWithRelatedOuter(
     const std::vector<NodeMatch>& outers,
     const std::vector<NodeMatch>& inners, Axis axis, JoinMode mode) {
-  std::vector<NodeMatch> out;
-  if (outers.empty() || inners.empty()) return out;
+  std::vector<char> flags(inners.size(), 0);
+  if (outers.empty() || inners.empty()) return flags;
 
   if (axis == Axis::kDescendant) {
     // Ancestor-stack merge (the stack-based structural join of
     // Al-Khalifa et al., which the paper builds on).
-    if (outers[0].virtual_root) return inners;
+    if (outers[0].virtual_root) {
+      flags.assign(inners.size(), 1);
+      return flags;
+    }
     std::vector<const NodeMatch*> stack;
     size_t i = 0;
-    for (const NodeMatch& inner : inners) {
+    for (size_t k = 0; k < inners.size(); ++k) {
+      const NodeMatch& inner = inners[k];
       // Push outers preceding this inner, keeping only the nesting chain.
       while (i < outers.size() && DocOrderLess(outers[i], inner)) {
         while (!stack.empty() &&
@@ -82,40 +86,49 @@ std::vector<NodeMatch> SelectRelatedInners(
              !IsRelated(*stack.back(), inner, Axis::kDescendant, mode)) {
         stack.pop_back();
       }
-      if (!stack.empty()) out.push_back(inner);
+      flags[k] = stack.empty() ? 0 : 1;
     }
-    return out;
+    return flags;
   }
 
   if (axis == Axis::kFollowing) {
     // An inner qualifies iff some outer's subtree ends before it.  Outers
     // that fail for a given inner are its ancestors (or later nodes), so
-    // scanning outers in document order stops fast.
-    for (const NodeMatch& inner : inners) {
+    // scanning outers in document order stops after at most depth-many.
+    for (size_t k = 0; k < inners.size(); ++k) {
       for (const NodeMatch& outer : outers) {
-        if (!DocOrderLess(outer, inner)) break;
-        if (IsRelated(outer, inner, Axis::kFollowing, mode)) {
-          out.push_back(inner);
+        if (!DocOrderLess(outer, inners[k])) break;
+        if (IsRelated(outer, inners[k], Axis::kFollowing, mode)) {
+          flags[k] = 1;
           break;
         }
       }
     }
-    return out;
+    return flags;
   }
 
   // Preceding: an inner qualifies iff some outer starts after the inner's
-  // subtree.  The failing outers for a given inner are those at or before
-  // it plus its descendants; scan outers from the document-order end.
+  // subtree.  The document-order-last outer is the canonical witness:
+  // every node after a qualifying outer lies past the inner's subtree too.
   NOK_CHECK(axis == Axis::kPreceding);
-  for (const NodeMatch& inner : inners) {
-    for (size_t o = outers.size(); o-- > 0;) {
-      const NodeMatch& outer = outers[o];
-      if (!DocOrderLess(inner, outer)) break;
-      if (IsRelated(outer, inner, Axis::kPreceding, mode)) {
-        out.push_back(inner);
-        break;
-      }
-    }
+  const NodeMatch& last = outers.back();
+  for (size_t k = 0; k < inners.size(); ++k) {
+    flags[k] = DocOrderLess(inners[k], last) &&
+                       IsRelated(last, inners[k], Axis::kPreceding, mode)
+                   ? 1
+                   : 0;
+  }
+  return flags;
+}
+
+std::vector<NodeMatch> SelectRelatedInners(
+    const std::vector<NodeMatch>& outers,
+    const std::vector<NodeMatch>& inners, Axis axis, JoinMode mode) {
+  const std::vector<char> flags =
+      FlagInnersWithRelatedOuter(outers, inners, axis, mode);
+  std::vector<NodeMatch> out;
+  for (size_t k = 0; k < inners.size(); ++k) {
+    if (flags[k]) out.push_back(inners[k]);
   }
   return out;
 }

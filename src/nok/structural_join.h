@@ -52,6 +52,14 @@ void SortUnique(std::vector<NodeMatch>* matches);
 bool IsRelated(const NodeMatch& outer, const NodeMatch& inner, Axis axis,
                JoinMode mode);
 
+/// flags[k] = inner k is related to at least one outer.  Both inputs
+/// must be sorted (SortUnique).  One merge pass: an ancestor stack for
+/// kDescendant; for the order axes each inner's canonical witness is
+/// found after at most depth-many outers.
+std::vector<char> FlagInnersWithRelatedOuter(
+    const std::vector<NodeMatch>& outers,
+    const std::vector<NodeMatch>& inners, Axis axis, JoinMode mode);
+
 /// Returns the inners related to at least one outer, in document order.
 /// Both inputs must be sorted (SortUnique).
 std::vector<NodeMatch> SelectRelatedInners(

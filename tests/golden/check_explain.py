@@ -2,11 +2,13 @@
 """Golden-file test for `nokq explain`.
 
 Builds a store from tests/golden/explain_doc.xml in a temp directory,
-runs `nokq explain` for three representative queries (tag-index probe,
-value-index probe, and a branchy scan + structural semi-join, the last
-one under both join orders), normalizes the volatile fields (page and
-timing counters vary with build flags and machine speed) and compares
-the result against the checked-in .golden files.
+runs `nokq explain` for representative queries (tag-index probe,
+value-index probe, a branchy structural semi-join under both join orders,
+and the two directions of an arc-scoped `//` join), normalizes the
+volatile fields (page and timing counters vary with build flags and
+machine speed) and compares the result against the checked-in .golden
+files.  A golden file that covers several queries holds each one's
+output after a "# <xpath>" line.
 
 Usage:
   check_explain.py --nokq build/tools/nokq [--update]
@@ -20,12 +22,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-# (golden file stem, xpath, extra explain flags).
+# (golden file stem, xpath or list of xpaths, extra explain flags).
 CASES = [
     ("explain_tag_index", "//special", []),
     ("explain_value_index", '//item[name="needle"]', []),
     ("explain_branchy", "//item[.//special]", []),
     ("explain_branchy_fixed", "//item[.//special]", ["--fixed-order"]),
+    # Down-scoped scan under a value probe, then an arc-ancestor anchor.
+    ("explain_arc_scoped",
+     ['/shop/item[name="needle"]//price', "/shop/item//special"], []),
 ]
 
 
@@ -62,20 +67,27 @@ def main() -> int:
             print(f"nokq build failed:\n{build.stderr}", file=sys.stderr)
             return 1
 
-        for stem, xpath, flags in CASES:
-            run = subprocess.run(
-                [args.nokq, "explain", store, xpath] + flags,
-                capture_output=True,
-                text=True,
-            )
-            if run.returncode != 0:
-                print(
-                    f"{stem}: nokq explain failed:\n{run.stderr}",
-                    file=sys.stderr,
+        for stem, xpaths, flags in CASES:
+            several = isinstance(xpaths, list)
+            xpath = " ; ".join(xpaths) if several else xpaths
+            got = ""
+            for one in xpaths if several else [xpaths]:
+                run = subprocess.run(
+                    [args.nokq, "explain", store, one] + flags,
+                    capture_output=True,
+                    text=True,
                 )
+                if run.returncode != 0:
+                    print(
+                        f"{stem}: nokq explain failed:\n{run.stderr}",
+                        file=sys.stderr,
+                    )
+                    got = None
+                    break
+                got += (f"# {one}\n" if several else "") + normalize(run.stdout)
+            if got is None:
                 failures += 1
                 continue
-            got = normalize(run.stdout)
             golden_path = golden_dir / f"{stem}.golden"
             if args.update:
                 golden_path.write_text(got)

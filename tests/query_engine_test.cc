@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "baseline/navigational_engine.h"
 #include "common/random.h"
 #include "encoding/document_store.h"
 #include "nok/query_engine.h"
@@ -446,6 +447,113 @@ INSTANTIATE_TEST_SUITE_P(
                       "//book[preceding::editor]",
                       "//author[last=\"Suciu\"]/preceding::title",
                       "//price/preceding::price"));
+
+}  // namespace
+}  // namespace nok
+
+// ---------------------------------------------------------------------------
+// Arc-scoped `//` joins.  On a wide document where one side of the arc is
+// selective, both directions touch only the few subtrees that side
+// yields, on both navigation tiers: a value probe bounds the descendant
+// scan (down), and a rare child tree anchors its parent on the
+// ancestors of its roots (up).
+
+namespace nok {
+namespace {
+
+constexpr uint64_t kWideChildren = 5000;
+
+/// <r> with kWideChildren <c><t/></c> children; three of them also hold
+/// <k>v</k> and three others <p><m/></p>.
+std::string WideArcDocument() {
+  std::string xml = "<r>";
+  for (uint64_t i = 0; i < kWideChildren; ++i) {
+    xml += "<c><t/>";
+    if (i % 1667 == 5) xml += "<k>v</k>";
+    if (i % 1667 == 100) xml += "<p><m/></p>";
+    xml += "</c>";
+  }
+  return xml + "</r>";
+}
+
+std::vector<std::string> NavigationalAnswer(const DomTree& dom,
+                                            const std::string& query) {
+  auto pattern = ParseXPath(query);
+  EXPECT_TRUE(pattern.ok()) << query;
+  NavigationalEngine nav(&dom);
+  auto nodes = nav.Evaluate(*pattern);
+  EXPECT_TRUE(nodes.ok()) << query << ": " << nodes.status().ToString();
+  std::vector<std::string> out;
+  for (const DomNode* node : *nodes) out.push_back(DomDewey(node).ToString());
+  return out;
+}
+
+class ArcScopedWork : public ::testing::TestWithParam<NavMode> {};
+
+TEST_P(ArcScopedWork, BothDirectionsStayInsideTheSelectiveSubtrees) {
+  const NavMode mode = GetParam();
+  // Small pages, so a walk over every <c> costs hundreds of pages.
+  auto f = MakeFixture(WideArcDocument(), 256, mode);
+  constexpr uint64_t kHits = 3;
+  constexpr uint64_t kSubtree = 4;  // c, t and the selective pair.
+  struct Case {
+    const char* query;
+    const char* scoping;  // The operator that confines the arc.
+  };
+  for (const Case& c : {Case{"/r/c[k=\"v\"]//t", "ScopedScan"},
+                        Case{"/r/c//p/m", "ArcAncestors"}}) {
+    SCOPED_TRACE(std::string(c.query) + " on " + NavModeName(mode));
+    f.store->tree()->ResetNavStats();
+    auto got = f.engine->Evaluate(c.query);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    std::vector<std::string> got_s;
+    for (const DeweyId& id : *got) got_s.push_back(id.ToString());
+    EXPECT_EQ(got_s, NavigationalAnswer(f.dom, c.query));
+    EXPECT_EQ(got_s.size(), kHits);
+
+    const ExecutionTrace& trace = f.engine->last_trace();
+    const std::string explain = f.engine->ExplainLast();
+    bool scoped = false;
+    for (const OperatorStats& op : trace.operators) {
+      scoped = scoped || op.op == c.scoping;
+      // No operator walks the 5,000 <c>: every row set stays tiny.
+      EXPECT_LE(op.rows_out, 12 * kHits) << op.op << "\n" << explain;
+    }
+    EXPECT_TRUE(scoped) << explain;
+    ASSERT_FALSE(trace.operators.empty());
+    EXPECT_LE(trace.operators.front().rows_out, kHits) << explain;
+    const uint64_t budget = 16 * kHits * kSubtree;
+    if (mode == NavMode::kBp) {
+      EXPECT_LE(trace.bp_steps, budget) << explain;
+    } else {
+      EXPECT_LE(f.store->tree()->nav_stats().pages_scanned, budget)
+          << explain;
+    }
+  }
+}
+
+// Probe hits whose span roots nest: the inner span lies inside the outer
+// one, so it is dropped and every <t> below both comes out exactly once.
+TEST_P(ArcScopedWork, NestedSpansYieldEachRootOnce) {
+  std::string xml =
+      "<r><a><k>v</k><t/><a><k>v</k><t/><a><t/></a></a><t/></a>";
+  for (int i = 0; i < 200; ++i) xml += "<a><t/></a>";
+  xml += "</r>";
+  auto f = MakeFixture(xml, 256, GetParam());
+  const std::string query = "//a[k=\"v\"]//t";
+  ExpectMatchesOracle(&f, query);
+  bool scoped = false;
+  for (const OperatorStats& op : f.engine->last_trace().operators) {
+    if (op.op != "ScopedScan") continue;
+    scoped = true;
+    EXPECT_EQ(op.rows_in, 1u);   // Two hits, one outermost span.
+    EXPECT_EQ(op.rows_out, 4u);  // Each <t> inside it once.
+  }
+  EXPECT_TRUE(scoped) << f.engine->ExplainLast();
+}
+
+INSTANTIATE_TEST_SUITE_P(BothTiers, ArcScopedWork,
+                         ::testing::Values(NavMode::kPaged, NavMode::kBp));
 
 }  // namespace
 }  // namespace nok

@@ -174,7 +174,8 @@ TEST_P(JoinFuzz, AgreesWithQuadraticReference) {
     };
     const auto outers = random_matches(rng.Range(0, 8));
     const auto inners = random_matches(rng.Range(0, 8));
-    for (Axis axis : {Axis::kDescendant, Axis::kFollowing}) {
+    for (Axis axis :
+         {Axis::kDescendant, Axis::kFollowing, Axis::kPreceding}) {
       auto got = SelectRelatedInners(outers, inners, axis,
                                      JoinMode::kDewey);
       std::vector<NodeMatch> want;

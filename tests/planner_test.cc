@@ -180,6 +180,44 @@ TEST(PlannerTest, ForcedStrategiesDegradeToScanWhenInapplicable) {
   EXPECT_EQ(no_path.plan.trees[1].access.strategy, StartStrategy::kScan);
 }
 
+TEST(PlannerTest, ArcAncestorAnchorOnlyWherePrefilterCannotNarrow) {
+  // Twenty <c>, thirty <i><k>w</k></i> under each; one k holds "v" and
+  // one i also holds an <x>.
+  std::string xml = "<r>";
+  for (int c = 0; c < 20; ++c) {
+    xml += "<c>";
+    for (int i = 0; i < 30; ++i) {
+      xml += c == 19 && i == 0 ? "<i><k>v</k><x/></i>" : "<i><k>w</k></i>";
+    }
+    xml += "</c>";
+  }
+  xml += "</r>";
+  auto store = MakeStore(xml);
+
+  // `/r/c` is selective enough for its tag probe, anchored on the arc
+  // source, though it has far more hits than the one value match: the
+  // semi-join pre-filter narrows those hits to the match's ancestors
+  // before any page is read, so the probe stays.
+  Planned on_trunk = PlanFor(store.get(), "/r/c//i[k=\"v\"]");
+  ASSERT_EQ(on_trunk.plan.trees.size(), 2u);
+  EXPECT_EQ(on_trunk.plan.trees[0].access.strategy, StartStrategy::kTagIndex);
+  EXPECT_EQ(on_trunk.plan.trees[0].access.anchor, 2);
+  EXPECT_EQ(on_trunk.plan.trees[0].access.arc_tree, -1);
+
+  // `/r/c/i` probes r, above the arc source: the one x anchors it on
+  // its i ancestor instead, marked by arc_tree with no index probe.
+  Planned below = PlanFor(store.get(), "/r/c/i//x");
+  ASSERT_EQ(below.plan.trees.size(), 2u);
+  const AccessPath& up = below.plan.trees[0].access;
+  EXPECT_EQ(up.strategy, StartStrategy::kScan);
+  EXPECT_EQ(up.arc_tree, 1);
+  EXPECT_EQ(up.anchor, 3);
+  EXPECT_NE(below.plan.ToString(below.partition)
+                .find("tree 0: arc-ancestors of tree 1 anchor=node3"),
+            std::string::npos)
+      << below.plan.ToString(below.partition);
+}
+
 TEST(PlannerTest, PlanToStringIsStable) {
   auto store = MakeStore(kBibXml);
   Planned p = PlanFor(store.get(), "//book[author/last=\"Stevens\"]");
